@@ -15,6 +15,3 @@ val size : t -> int -> int
 
 val components : t -> int
 (** Number of components. *)
-
-val roots : t -> int list
-(** Current representative of each component. *)

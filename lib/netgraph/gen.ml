@@ -143,42 +143,84 @@ let shuffle st a =
     a.(j) <- tmp
   done
 
-(* Build with per-node shuffled port order so port numbers are not
-   correlated with construction order. *)
-let of_pairs_shuffled ~n st pairs =
-  let incident = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
-      incident.(u) <- v :: incident.(u);
-      incident.(v) <- u :: incident.(v))
-    pairs;
-  let lists =
-    Array.map
-      (fun ns ->
-        let a = Array.of_list ns in
-        shuffle st a;
-        Array.to_list a)
-      incident
-  in
-  Graph.of_adjacency lists
+(* CSR offsets of the graph on the pairs [(us.(i), vs.(i))], [i < count]. *)
+let pair_offsets ~n us vs count =
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to count - 1 do
+    off.(us.(i) + 1) <- off.(us.(i) + 1) + 1;
+    off.(vs.(i) + 1) <- off.(vs.(i) + 1) + 1
+  done;
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u + 1) + off.(u)
+  done;
+  off
 
-let prufer_tree_pairs ~n st =
-  if n = 1 then []
-  else if n = 2 then [ (0, 1) ]
-  else begin
+(* The shared builder of the random generators: the pairs [(us.(i),
+   vs.(i))] for [i < count] become a graph whose ports at each node are a
+   uniform shuffle of its incident pairs.  Each row is first filled from
+   its end, so it lists its neighbors in reverse order of appearance,
+   then shuffled in place, rows in node order.  Both steps fix the
+   graph's bytes for a given [Random.State.t] (DESIGN.md §10.1), and
+   test/test_gen.ml pins them against a list-based reference.
+
+   Reverse ports need no search and no scratch array: [prt] is kept
+   pointing at each mirror's current place.  The fill sets it directly,
+   and after a row is shuffled every moved entry tells its mirror where
+   it now lives; rows shuffled later update the earlier ones the same
+   way. *)
+let shuffled_csr ~n st us vs count =
+  let off = pair_offsets ~n us vs count in
+  let nbr = Array.make (2 * count) 0 in
+  let prt = Array.make (2 * count) 0 in
+  let fill = Array.sub off 1 n in
+  for i = 0 to count - 1 do
+    let u = us.(i) and v = vs.(i) in
+    let su = fill.(u) - 1 and sv = fill.(v) - 1 in
+    fill.(u) <- su;
+    fill.(v) <- sv;
+    nbr.(su) <- v;
+    prt.(su) <- sv - off.(v);
+    nbr.(sv) <- u;
+    prt.(sv) <- su - off.(u)
+  done;
+  for u = 0 to n - 1 do
+    let base = off.(u) in
+    for i = off.(u + 1) - 1 - base downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let a = base + i and b = base + j in
+      let v = nbr.(a) and q = prt.(a) in
+      nbr.(a) <- nbr.(b);
+      prt.(a) <- prt.(b);
+      nbr.(b) <- v;
+      prt.(b) <- q
+    done;
+    for s = base to off.(u + 1) - 1 do
+      prt.(off.(nbr.(s)) + prt.(s)) <- s - base
+    done
+  done;
+  Graph.of_csr ~n ~off ~nbr ~prt ()
+
+(* A uniform random labeled tree, decoded from a random Prüfer sequence
+   into [us.(i), vs.(i)] for [i < n - 1], last decoded pair first. *)
+let prufer_tree ~n st us vs =
+  if n = 2 then begin
+    us.(0) <- 0;
+    vs.(0) <- 1
+  end
+  else if n > 2 then begin
     let seq = Array.init (n - 2) (fun _ -> Random.State.int st n) in
     let deg = Array.make n 1 in
     Array.iter (fun v -> deg.(v) <- deg.(v) + 1) seq;
-    let pairs = ref [] in
     (* Standard Prüfer decoding with a simple scan pointer + leaf var. *)
     let ptr = ref 0 in
     while deg.(!ptr) <> 1 do
       incr ptr
     done;
     let leaf = ref !ptr in
-    Array.iter
-      (fun v ->
-        pairs := (!leaf, v) :: !pairs;
+    Array.iteri
+      (fun i v ->
+        us.(n - 2 - i) <- !leaf;
+        vs.(n - 2 - i) <- v;
         deg.(v) <- deg.(v) - 1;
         if deg.(v) = 1 && v < !ptr then leaf := v
         else begin
@@ -189,29 +231,64 @@ let prufer_tree_pairs ~n st =
           leaf := !ptr
         end)
       seq;
-    pairs := (!leaf, n - 1) :: !pairs;
-    !pairs
+    us.(0) <- !leaf;
+    vs.(0) <- n - 1
   end
 
 let random_tree ~n st =
   if n < 1 then fail "Gen.random_tree: n = %d" n;
-  of_pairs_shuffled ~n st (prufer_tree_pairs ~n st)
+  let us = Array.make (n - 1) 0 and vs = Array.make (n - 1) 0 in
+  prufer_tree ~n st us vs;
+  shuffled_csr ~n st us vs (n - 1)
 
 let random_connected ~n ~p st =
   if n < 1 then fail "Gen.random_connected: n = %d" n;
   if p < 0.0 || p > 1.0 then fail "Gen.random_connected: p = %f" p;
-  let tree = prufer_tree_pairs ~n st in
-  let present = Hashtbl.create (4 * n) in
-  List.iter (fun (u, v) -> Hashtbl.replace present (min u v, max u v) ()) tree;
-  let extra = ref [] in
-  let add u v = if not (Hashtbl.mem present (u, v)) then extra := (u, v) :: !extra in
+  (* The tree's pairs come first, then the overlay's in the order drawn. *)
+  let total = n * (n - 1) / 2 in
+  let expected = if p >= 1.0 then total else int_of_float (p *. float_of_int total *. 1.1) in
+  let us = ref (Array.make (n - 1 + expected + 16) 0) in
+  let vs = ref (Array.make (n - 1 + expected + 16) 0) in
+  prufer_tree ~n st !us !vs;
+  (* Tree membership from the tree's own small CSR: a Prüfer tree's
+     degrees stay small, so a row scan beats hashing the pair. *)
+  let toff = pair_offsets ~n !us !vs (n - 1) in
+  let tnbr = Array.make (2 * (n - 1)) 0 in
+  let tfill = Array.sub toff 0 n in
+  for i = 0 to n - 2 do
+    let u = !us.(i) and v = !vs.(i) in
+    tnbr.(tfill.(u)) <- v;
+    tfill.(u) <- tfill.(u) + 1;
+    tnbr.(tfill.(v)) <- u;
+    tfill.(v) <- tfill.(v) + 1
+  done;
+  let in_tree u v =
+    let s = ref toff.(u) and stop = toff.(u + 1) in
+    while !s < stop && tnbr.(!s) <> v do
+      incr s
+    done;
+    !s < stop
+  in
+  let count = ref (n - 1) in
+  let add u v =
+    if not (in_tree u v) then begin
+      if !count = Array.length !us then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        us := grow !us;
+        vs := grow !vs
+      end;
+      !us.(!count) <- u;
+      !vs.(!count) <- v;
+      incr count
+    end
+  in
   (* G(n,p) overlay without the Θ(n²) per-pair Bernoulli loop: walk the
      lexicographic pair order (u < v) with geometric skips of mean 1/p
      (Batagelj–Brandes), so sampling costs O(m + n) — the fix that makes
      sparse families feasible at n = 10⁶.  Every pair is still included
-     independently with probability p (tree pairs are filtered through
-     the [present] hash set, which leaves the non-tree pairs iid); only
-     p = 1 keeps a dense loop, since its skip length degenerates to 1. *)
+     independently with probability p (tree pairs are filtered out, which
+     leaves the non-tree pairs iid); only p = 1 keeps a dense loop, since
+     its skip length degenerates to 1. *)
   if p >= 1.0 then
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
@@ -219,7 +296,6 @@ let random_connected ~n ~p st =
       done
     done
   else if p > 0.0 then begin
-    let total = n * (n - 1) / 2 in
     let log1mp = log (1.0 -. p) in
     let idx = ref (-1) in
     let u = ref 0 in
@@ -240,7 +316,7 @@ let random_connected ~n ~p st =
       end
     done
   end;
-  of_pairs_shuffled ~n st (tree @ List.rev !extra)
+  shuffled_csr ~n st !us !vs !count
 
 let lollipop ~clique ~tail =
   if clique < 3 then fail "Gen.lollipop: clique = %d < 3" clique;
@@ -302,28 +378,31 @@ let random_regular ~n ~d st =
   if d < 3 || d >= n then fail "Gen.random_regular: d = %d, n = %d" d n;
   if n * d mod 2 <> 0 then fail "Gen.random_regular: n*d must be even";
   (* Configuration model with rejection: pair up stubs, retry on
-     self-loops, parallel edges, or disconnection. *)
+     self-loops, parallel edges, or disconnection.  Pairs are stored last
+     drawn first. *)
   let max_attempts = 1000 in
+  let count = n * d / 2 in
+  let us = Array.make count 0 and vs = Array.make count 0 in
   let rec attempt k =
     if k > max_attempts then fail "Gen.random_regular: too many rejections";
     let stubs = Array.init (n * d) (fun i -> i / d) in
     shuffle st stubs;
-    let pairs = ref [] in
     let ok = ref true in
     let seen = Hashtbl.create (n * d) in
     let i = ref 0 in
-    while !ok && !i < n * d do
-      let u = stubs.(!i) and v = stubs.(!i + 1) in
+    while !ok && !i < count do
+      let u = stubs.(2 * !i) and v = stubs.((2 * !i) + 1) in
       if u = v || Hashtbl.mem seen (min u v, max u v) then ok := false
       else begin
         Hashtbl.add seen (min u v, max u v) ();
-        pairs := (u, v) :: !pairs
+        us.(count - 1 - !i) <- u;
+        vs.(count - 1 - !i) <- v
       end;
-      i := !i + 2
+      incr i
     done;
     if not !ok then attempt (k + 1)
     else begin
-      let g = of_pairs_shuffled ~n st !pairs in
+      let g = shuffled_csr ~n st us vs count in
       if Graph.is_connected g then g else attempt (k + 1)
     end
   in

@@ -31,8 +31,12 @@ val random : Graph.t -> root:int -> Random.State.t -> t
 val light : Graph.t -> root:int -> t
 (** The Claim 3.1 construction: Borůvka-style phases in which every
     component of size [< 2^k] selects its minimum-weight outgoing edge
-    (weight = [min port]), cycles being broken arbitrarily.  Guarantees
-    [contribution g (edges t) ≤ 4n]. *)
+    (weight = [min port]).  Ties go to the first such edge in (node,
+    port) order at its smaller endpoint, and a phase merges its
+    selections in ascending order of the components' roots, skipping
+    any that would close a cycle (DESIGN.md §10.1).  Guarantees
+    [contribution g (edges t) ≤ 4n].  Raises [Invalid_argument] on a
+    disconnected graph. *)
 
 val size : t -> int
 (** Number of nodes. *)

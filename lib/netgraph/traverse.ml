@@ -1,59 +1,82 @@
+(* All three walk the CSR arrays directly with an int-array queue or
+   stack, allocating nothing per neighbor.  Slot order within a row is
+   port order, so neighbors are explored in port order. *)
+
 let bfs g ~root =
   let n = Graph.n g in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
   let dist = Array.make n (-1) in
   let parent = Array.make n None in
-  let q = Queue.create () in
+  let queue = Array.make n root in
+  let tail = ref 1 in
   dist.(root) <- 0;
-  Queue.add root q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun (_, v, _) ->
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          parent.(v) <- Some u;
-          Queue.add v q
-        end)
-      (Graph.neighbors g u)
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for s = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(s) in
+      if dist.(v) < 0 then begin
+        dist.(v) <- dist.(u) + 1;
+        parent.(v) <- Some u;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   (dist, parent)
 
+(* Iterative: [next.(u)] is the slot of the next port to try at [u], so a
+   node is resumed exactly where the recursive walk would return to it,
+   and a path-like graph cannot overflow the call stack. *)
 let dfs_parents g ~root =
   let n = Graph.n g in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
   let parent = Array.make n None in
-  let seen = Array.make n false in
-  let rec go u =
-    seen.(u) <- true;
-    List.iter
-      (fun (_, v, _) ->
-        if not seen.(v) then begin
-          parent.(v) <- Some u;
-          go v
-        end)
-      (Graph.neighbors g u)
-  in
-  go root;
-  (* Mark unreachable nodes with no parent (already None). *)
+  let seen = Bytes.make n '\000' in
+  let next = Array.sub off 0 n in
+  let stack = Array.make n root in
+  let top = ref 1 in
+  Bytes.set seen root '\001';
+  while !top > 0 do
+    let u = stack.(!top - 1) in
+    let s = next.(u) in
+    if s = off.(u + 1) then decr top
+    else begin
+      next.(u) <- s + 1;
+      let v = nbr.(s) in
+      if Bytes.get seen v = '\000' then begin
+        Bytes.set seen v '\001';
+        parent.(v) <- Some u;
+        stack.(!top) <- v;
+        incr top
+      end
+    end
+  done;
   parent
 
 let components g =
   let n = Graph.n g in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
   let comp = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let k = ref 0 in
   for s = 0 to n - 1 do
     if comp.(s) < 0 then begin
-      let q = Queue.create () in
       comp.(s) <- !k;
-      Queue.add s q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        List.iter
-          (fun (_, v, _) ->
-            if comp.(v) < 0 then begin
-              comp.(v) <- !k;
-              Queue.add v q
-            end)
-          (Graph.neighbors g u)
+      queue.(0) <- s;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        for i = off.(u) to off.(u + 1) - 1 do
+          let v = nbr.(i) in
+          if comp.(v) < 0 then begin
+            comp.(v) <- !k;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
       done;
       incr k
     end

@@ -246,12 +246,199 @@ let test_random_regular () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "d < 3 rejected"
 
+(* The list-based random generators that [Gen]'s shuffled-CSR builder
+   replaced, kept as the reference their graphs must equal: for a given
+   [Random.State.t] the port numbering is part of every experiment's
+   bytes. *)
+module Reference = struct
+  let shuffle st a =
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+
+  let of_pairs_shuffled ~n st pairs =
+    let incident = Array.make n [] in
+    List.iter
+      (fun (u, v) ->
+        incident.(u) <- v :: incident.(u);
+        incident.(v) <- u :: incident.(v))
+      pairs;
+    let lists =
+      Array.map
+        (fun ns ->
+          let a = Array.of_list ns in
+          shuffle st a;
+          Array.to_list a)
+        incident
+    in
+    Graph.of_adjacency lists
+
+  let prufer_tree_pairs ~n st =
+    if n = 1 then []
+    else if n = 2 then [ (0, 1) ]
+    else begin
+      let seq = Array.init (n - 2) (fun _ -> Random.State.int st n) in
+      let deg = Array.make n 1 in
+      Array.iter (fun v -> deg.(v) <- deg.(v) + 1) seq;
+      let pairs = ref [] in
+      let ptr = ref 0 in
+      while deg.(!ptr) <> 1 do
+        incr ptr
+      done;
+      let leaf = ref !ptr in
+      Array.iter
+        (fun v ->
+          pairs := (!leaf, v) :: !pairs;
+          deg.(v) <- deg.(v) - 1;
+          if deg.(v) = 1 && v < !ptr then leaf := v
+          else begin
+            incr ptr;
+            while deg.(!ptr) <> 1 do
+              incr ptr
+            done;
+            leaf := !ptr
+          end)
+        seq;
+      pairs := (!leaf, n - 1) :: !pairs;
+      !pairs
+    end
+
+  let random_tree ~n st = of_pairs_shuffled ~n st (prufer_tree_pairs ~n st)
+
+  let random_connected ~n ~p st =
+    let tree = prufer_tree_pairs ~n st in
+    let present = Hashtbl.create (4 * n) in
+    List.iter (fun (u, v) -> Hashtbl.replace present (min u v, max u v) ()) tree;
+    let extra = ref [] in
+    let add u v = if not (Hashtbl.mem present (u, v)) then extra := (u, v) :: !extra in
+    if p >= 1.0 then
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          add u v
+        done
+      done
+    else if p > 0.0 then begin
+      let total = n * (n - 1) / 2 in
+      let log1mp = log (1.0 -. p) in
+      let idx = ref (-1) in
+      let u = ref 0 in
+      let row_start = ref 0 in
+      let continue_ = ref true in
+      while !continue_ do
+        let r = Random.State.float st 1.0 in
+        let skip = 1 + int_of_float (log (1.0 -. r) /. log1mp) in
+        idx := !idx + skip;
+        if !idx >= total then continue_ := false
+        else begin
+          while !idx - !row_start >= n - 1 - !u do
+            row_start := !row_start + (n - 1 - !u);
+            incr u
+          done;
+          add !u (!u + 1 + (!idx - !row_start))
+        end
+      done
+    end;
+    of_pairs_shuffled ~n st (tree @ List.rev !extra)
+
+  let random_regular ~n ~d st =
+    let rec attempt () =
+      let stubs = Array.init (n * d) (fun i -> i / d) in
+      shuffle st stubs;
+      let pairs = ref [] in
+      let ok = ref true in
+      let seen = Hashtbl.create (n * d) in
+      let i = ref 0 in
+      while !ok && !i < n * d do
+        let u = stubs.(!i) and v = stubs.(!i + 1) in
+        if u = v || Hashtbl.mem seen (min u v, max u v) then ok := false
+        else begin
+          Hashtbl.add seen (min u v, max u v) ();
+          pairs := (u, v) :: !pairs
+        end;
+        i := !i + 2
+      done;
+      if not !ok then attempt ()
+      else begin
+        let g = of_pairs_shuffled ~n st !pairs in
+        if Graph.is_connected g then g else attempt ()
+      end
+    in
+    attempt ()
+end
+
+(* Equal graphs, and the same draws taken from the state, so whatever a
+   caller builds next from it agrees too. *)
+let check_same name (reference, st) (built, st') =
+  check_bool name true (Graph.equal reference built);
+  check_int (name ^ ": same draws") (Random.State.bits st) (Random.State.bits st')
+
+let sizes = [ 1; 2; 3; 4; 5; 7; 10; 16; 33; 64; 100; 200; 500; 1000; 3000 ]
+
+(* Each p over the sizes, two seeds each.  The reference pays Θ(deg²)
+   per node for reverse ports and list cells per pair, so every p stops
+   where its expected edge count passes about 10^5 — p = 1 at n = 200,
+   p = 0.5 at n = 500, p = 0.1 at n = 1000. *)
+let test_random_connected_matches_reference () =
+  let ps n = [ 0.0; 0.01; 0.1; 0.5; 1.0; min 1.0 (4.0 /. float_of_int n) ] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun p ->
+          if p *. float_of_int (n * (n - 1) / 2) <= 1e5 then
+            List.iter
+              (fun seed ->
+                let st = Random.State.make [| seed; n |] in
+                let st' = Random.State.copy st in
+                check_same
+                  (Printf.sprintf "G(%d, %g) seed %d" n p seed)
+                  (Reference.random_connected ~n ~p st, st)
+                  (Gen.random_connected ~n ~p st', st'))
+              [ 0; 1 ])
+        (ps n))
+    sizes
+
+let test_random_tree_matches_reference () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun seed ->
+          let st = Random.State.make [| seed; n |] in
+          let st' = Random.State.copy st in
+          check_same
+            (Printf.sprintf "tree %d seed %d" n seed)
+            (Reference.random_tree ~n st, st)
+            (Gen.random_tree ~n st', st'))
+        [ 0; 1; 2 ])
+    sizes
+
+let test_random_regular_matches_reference () =
+  List.iter
+    (fun (n, d) ->
+      List.iter
+        (fun seed ->
+          let st = Random.State.make [| seed; n; d |] in
+          let st' = Random.State.copy st in
+          check_same
+            (Printf.sprintf "%d-regular on %d, seed %d" d n seed)
+            (Reference.random_regular ~n ~d st, st)
+            (Gen.random_regular ~n ~d st', st'))
+        [ 0; 1; 2 ])
+    [ (4, 3); (6, 3); (10, 3); (10, 4); (15, 4); (64, 3); (100, 5); (1000, 3); (3000, 3) ]
+
 let extra_suite =
   [
     Alcotest.test_case "complete bipartite" `Quick test_complete_bipartite;
     Alcotest.test_case "wheel" `Quick test_wheel;
     Alcotest.test_case "cube-connected cycles" `Quick test_cube_connected_cycles;
     Alcotest.test_case "random regular" `Quick test_random_regular;
+    Alcotest.test_case "random_connected equals the reference" `Quick
+      test_random_connected_matches_reference;
+    Alcotest.test_case "random_tree equals the reference" `Quick test_random_tree_matches_reference;
+    Alcotest.test_case "random_regular equals the reference" `Quick
+      test_random_regular_matches_reference;
   ]
 
 let suite = suite @ extra_suite

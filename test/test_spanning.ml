@@ -127,6 +127,173 @@ let qcheck_random_spanning =
       let g = Gen.random_connected ~n ~p:0.25 st in
       Spanning.check g (Spanning.random g ~root:(n / 2) st) = Ok ())
 
+(* The Hashtbl-phase Claim 3.1 construction that [Spanning.light]
+   replaced, kept as the reference its output must equal: it fixes the
+   tie-break (first minimum in (node, port) order, merges in ascending
+   root order) that the advice bytes depend on. *)
+module Reference = struct
+  let fail fmt = Printf.ksprintf invalid_arg fmt
+
+  let roots dsu n =
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if Dsu.find dsu i = i then acc := i :: !acc
+    done;
+    !acc
+
+  let of_parents g ~root parents =
+    let n = Graph.n g in
+    if Array.length parents <> n then fail "Spanning.of_parents: wrong array size";
+    if parents.(root) <> None then fail "Spanning.of_parents: root has a parent";
+    let parent = Array.make n None in
+    let children = Array.make n [] in
+    Array.iteri
+      (fun v p ->
+        match p with
+        | None -> if v <> root then fail "Spanning.of_parents: node %d has no parent" v
+        | Some u ->
+          (match Graph.port_to g v u with
+          | None -> fail "Spanning.of_parents: edge %d-%d not in graph" v u
+          | Some pv ->
+            parent.(v) <- Some (u, pv);
+            let pu =
+              match Graph.port_to g u v with
+              | Some p -> p
+              | None -> assert false
+            in
+            children.(u) <- (v, pu) :: children.(u)))
+      parents;
+    let state = Array.make n 0 in
+    state.(root) <- 2;
+    for v = 0 to n - 1 do
+      if state.(v) = 0 then begin
+        let u = ref v in
+        while state.(!u) = 0 do
+          state.(!u) <- 1;
+          match parent.(!u) with
+          | Some (w, _) -> u := w
+          | None -> fail "Spanning.of_parents: node %d not rooted" v
+        done;
+        if state.(!u) = 1 then fail "Spanning.of_parents: cycle through node %d" v;
+        let u = ref v in
+        while state.(!u) = 1 do
+          state.(!u) <- 2;
+          match parent.(!u) with Some (w, _) -> u := w | None -> ()
+        done
+      end
+    done;
+    let children = Array.map (fun l -> List.sort (fun (_, a) (_, b) -> compare a b) l) children in
+    { Spanning.root; parent; children }
+
+  let parents_from_edges g ~root pairs =
+    let n = Graph.n g in
+    let adj = Array.make n [] in
+    List.iter
+      (fun (u, v) ->
+        adj.(u) <- v :: adj.(u);
+        adj.(v) <- u :: adj.(v))
+      pairs;
+    let parents = Array.make n None in
+    let seen = Array.make n false in
+    let q = Queue.create () in
+    seen.(root) <- true;
+    Queue.add root q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun v ->
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            parents.(v) <- Some u;
+            Queue.add v q
+          end)
+        adj.(u)
+    done;
+    if not (Array.for_all (fun b -> b) seen) then fail "Spanning: edge set does not span";
+    parents
+
+  let light g ~root =
+    let n = Graph.n g in
+    let dsu = Dsu.create n in
+    let pairs = ref [] in
+    let k = ref 1 in
+    while Dsu.components dsu > 1 do
+      let threshold = 1 lsl !k in
+      let small_roots = List.filter (fun r -> Dsu.size dsu r < threshold) (roots dsu n) in
+      let best = Hashtbl.create 16 in
+      Graph.fold_edges
+        (fun e () ->
+          let ru = Dsu.find dsu e.Graph.u and rv = Dsu.find dsu e.Graph.v in
+          if ru <> rv then begin
+            let w = Graph.edge_weight g e in
+            let consider r =
+              match Hashtbl.find_opt best r with
+              | Some (w', _) when w' <= w -> ()
+              | _ -> Hashtbl.replace best r (w, e)
+            in
+            consider ru;
+            consider rv
+          end)
+        g ();
+      let selected =
+        List.filter_map
+          (fun r ->
+            match Hashtbl.find_opt best r with
+            | Some (_, e) -> Some e
+            | None -> None)
+          small_roots
+      in
+      if small_roots <> [] && selected = [] then fail "Spanning.light: disconnected graph";
+      List.iter
+        (fun e ->
+          if Dsu.union dsu e.Graph.u e.Graph.v then pairs := (e.Graph.u, e.Graph.v) :: !pairs)
+        selected;
+      incr k
+    done;
+    of_parents g ~root (parents_from_edges g ~root !pairs)
+end
+
+let same_tree name (a : Spanning.t) (b : Spanning.t) =
+  check_int (name ^ ": root") a.Spanning.root b.Spanning.root;
+  check_bool (name ^ ": parent") true (a.Spanning.parent = b.Spanning.parent);
+  check_bool (name ^ ": children") true (a.Spanning.children = b.Spanning.children)
+
+(* Every family × n × 5 seeds, rooted at node 0 for seed 0 and at a
+   middle node otherwise.  The seed only matters to the random families,
+   so the others run seeds 0 and 1.  Families whose edge count grows like
+   n² stop at n = 1000 with one seed there: the reference's per-phase edge
+   records take seconds per tree at that size. *)
+let test_light_matches_reference () =
+  let dense = Families.[ Complete; Dense_random; Lollipop; Complete_bipartite ] in
+  let random = Families.[ Random_tree; Sparse_random; Dense_random; Random_regular ] in
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun n ->
+          let seeds =
+            if List.mem fam dense && n >= 1000 then if n = 1000 then [ 1 ] else []
+            else if List.mem fam random then [ 0; 1; 2; 3; 4 ]
+            else [ 0; 1 ]
+          in
+          List.iter
+            (fun seed ->
+              let g = Families.build fam ~n ~seed in
+              let name = Printf.sprintf "%s n=%d seed=%d" (Families.name fam) n seed in
+              let root = if seed = 0 then 0 else Graph.n g / 2 in
+              same_tree name (Reference.light g ~root) (Spanning.light g ~root))
+            seeds)
+        [ 4; 5; 16; 24; 64; 1000; 5000 ])
+    Families.all
+
+let test_of_parents_matches_reference () =
+  List.iter
+    (fun (name, g) ->
+      let _, parents = Traverse.bfs g ~root:1 in
+      same_tree name (Reference.of_parents g ~root:1 parents) (Spanning.of_parents g ~root:1 parents);
+      let parents = Traverse.dfs_parents g ~root:0 in
+      same_tree name (Reference.of_parents g ~root:0 parents) (Spanning.of_parents g ~root:0 parents))
+    sample_graphs
+
 let suite =
   [
     Alcotest.test_case "bfs trees valid" `Quick test_bfs_trees;
@@ -142,6 +309,8 @@ let suite =
     Alcotest.test_case "contribution on a path" `Quick test_contribution_small;
     Alcotest.test_case "Claim 3.1: light tree within 4n" `Quick test_light_contribution_bound;
     Alcotest.test_case "light beats BFS on K*_n" `Quick test_light_beats_naive_on_complete;
+    Alcotest.test_case "light equals the reference construction" `Quick test_light_matches_reference;
+    Alcotest.test_case "of_parents equals the reference" `Quick test_of_parents_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_light_tree;
     QCheck_alcotest.to_alcotest qcheck_random_spanning;
   ]
