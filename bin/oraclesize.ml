@@ -1140,10 +1140,11 @@ let sweep_cmd =
       if workers = 0 && listen = None then pool_outcome ()
       else begin
         (* Distributed path: subprocess and/or remote TCP workers under
-           Dispatch, the same chunked journaled core via
-           map_journaled_via.  Determinism is untouched — appends and
-           emission stay in canonical order on this process — so bytes
-           match the in-process path exactly. *)
+           Dispatch, the same streaming journaled core via
+           map_journaled_via — one dispatch run over every to-do point,
+           results delivered as they arrive.  Determinism is untouched:
+           appends and emission stay in canonical order on this
+           process, so bytes match the in-process path exactly. *)
         let ctx =
           { Sim.Journal.spec = Sim.Sweep.to_string grid; extra = sweep_context ~protect ~retry }
         in
@@ -1212,7 +1213,7 @@ let sweep_cmd =
                   ?journal:(Option.map (fun path -> (path, ctx)) journal)
                   ?on_append
                   ~key:(fun p -> p.Sim.Sweep.seed)
-                  ~run:(fun idx -> Sim.Dispatch.run d idx)
+                  ~run:(Sim.Dispatch.run d)
                   ~emit:(fun _i p e -> emit_row p e)
                   pts
               in

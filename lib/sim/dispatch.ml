@@ -47,8 +47,9 @@
    from a reassigned or speculated batch carry identical bytes), so
    worker count, local/remote mix, batch sizing, speculation, death
    and rejoin schedule, and timing are all invisible in the value
-   [run] returns.  Ordering is the caller's business
-   (Sweep.map_journaled_via appends and emits in canonical order). *)
+   [run] delivers.  Ordering is the caller's business: [run] delivers
+   each first result the moment it arrives, and
+   Sweep.map_journaled_via puts them back in canonical order. *)
 
 (* {1 Throughput accounting} *)
 
@@ -469,7 +470,7 @@ let reap pid =
    (rejoined) worker with the capped backoff, while a worker that dies
    again and again — same wid, rejoining in a loop — still backs off
    exponentially. *)
-let bury t ~requeue ~now ~results w reason =
+let bury t ~requeue ~now ~pending w reason =
   t.log (Printf.sprintf "%s dead: %s" (describe w) reason);
   t.stats.died <- t.stats.died + 1;
   (match w.peer with
@@ -506,7 +507,7 @@ let bury t ~requeue ~now ~results w reason =
       (* A speculative copy's indices are still covered by the original
          batch (or its requeue), so the copy itself is never requeued. *)
       let undone =
-        Array.of_list (List.filter (fun i -> not (Hashtbl.mem results i)) (Array.to_list b.indices))
+        Array.of_list (List.filter (Hashtbl.mem pending) (Array.to_list b.indices))
       in
       if Array.length undone > 0 then begin
         let attempt = b.attempt + 1 in
@@ -597,15 +598,19 @@ let accept_pending t ~now =
 
 (* {1 The run loop} *)
 
-let run t indices =
+let run t indices ~deliver =
   let n = Array.length indices in
-  let wanted = Hashtbl.create (2 * n) in
-  Array.iter (fun i -> Hashtbl.replace wanted i ()) indices;
-  let results : (int, (Journal.entry, string) result) Hashtbl.t = Hashtbl.create (2 * n) in
-  (* First write wins; results for indices outside this run (a confused
-     worker) are dropped rather than corrupting the completion count. *)
+  (* Indices still owed a result.  The first result for an index is
+     delivered at once and retires it; later copies, and results for
+     indices outside this run (a confused worker), are dropped rather
+     than corrupting the completion count. *)
+  let pending : (int, unit) Hashtbl.t = Hashtbl.create (2 * n) in
+  Array.iter (fun i -> Hashtbl.replace pending i ()) indices;
   let record i r =
-    if Hashtbl.mem wanted i && not (Hashtbl.mem results i) then Hashtbl.add results i r
+    if Hashtbl.mem pending i then begin
+      Hashtbl.remove pending i;
+      deliver i r
+    end
   in
   let inline i =
     t.stats.inline_tasks <- t.stats.inline_tasks + 1;
@@ -651,7 +656,7 @@ let run t indices =
   let earliest_release () =
     List.fold_left (fun acc b -> min acc b.not_before) infinity !front
   in
-  let done_ () = Hashtbl.length results >= Hashtbl.length wanted in
+  let done_ () = Hashtbl.length pending = 0 in
   (* One decoded message from worker [w].  Any protocol surprise is a
      death sentence (crash-stop) — and authentication is checked here,
      before the config reply, so a peer with the wrong token never sees
@@ -692,7 +697,7 @@ let run t indices =
       w.deadline <- now +. t.heartbeat_timeout;
       Ok ()
     | Worker.Result { index; result } ->
-      let fresh = Hashtbl.mem wanted index && not (Hashtbl.mem results index) in
+      let fresh = Hashtbl.mem pending index in
       record index result;
       w.deadline <- now +. t.heartbeat_timeout;
       if w.wid >= 0 then begin
@@ -831,7 +836,7 @@ let run t indices =
                  (describe v) vb.seq (Array.length b.indices));
             true
           | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF | Unix.ECONNRESET), _, _) ->
-            bury t ~requeue ~now ~results w "EPIPE on task send";
+            bury t ~requeue ~now ~pending w "EPIPE on task send";
             true)
     in
     (* Assign released work to idle workers (lowest id first); batch
@@ -848,7 +853,7 @@ let run t indices =
           | Some b -> (
             let outstanding = Hashtbl.create (Array.length b.indices) in
             Array.iter
-              (fun i -> if not (Hashtbl.mem results i) then Hashtbl.replace outstanding i ())
+              (fun i -> if Hashtbl.mem pending i then Hashtbl.replace outstanding i ())
               b.indices;
             if Hashtbl.length outstanding = 0 then assign ()
             else
@@ -860,21 +865,21 @@ let run t indices =
                 assign ()
               | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF | Unix.ECONNRESET), _, _)
                 ->
-                bury t ~requeue ~now ~results w "EPIPE on task send";
+                bury t ~requeue ~now ~pending w "EPIPE on task send";
                 requeue b;
                 assign ()))
     in
     assign ();
     if t.live = [] && not (may_wait_for_peers now) then begin
       (* No survivors and no prospect of a rejoin: graceful degradation
-         — finish in-process.  Sticky: once degraded, later chunks run
+         — finish in-process.  Sticky: once degraded, later runs go
          inline immediately instead of re-waiting a grace window. *)
       if t.listener <> None && not t.degraded then begin
         t.degraded <- true;
         Option.iter Transport.close_listener t.listener;
         t.log "no live workers and no rejoin in time; degrading to in-process execution"
       end;
-      Array.iter (fun i -> if not (Hashtbl.mem results i) then inline i) indices
+      Array.iter (fun i -> if Hashtbl.mem pending i then inline i) indices
     end
     else if not (done_ ()) then begin
       let deadline =
@@ -905,15 +910,15 @@ let run t indices =
           | None -> ()
           | Some w -> (
             match Unix.read w.from_w rbuf 0 (Bytes.length rbuf) with
-            | 0 -> bury t ~requeue ~now ~results w "EOF"
+            | 0 -> bury t ~requeue ~now ~pending w "EOF"
             | len -> (
               Worker.Rx.feed w.rx rbuf len;
               match drain_rx ~now w with
               | Ok () -> ()
-              | Error e -> bury t ~requeue ~now ~results w e)
+              | Error e -> bury t ~requeue ~now ~pending w e)
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception Unix.Unix_error (e, _, _) ->
-              bury t ~requeue ~now ~results w (Unix.error_message e)))
+              bury t ~requeue ~now ~pending w (Unix.error_message e)))
         readable;
       (* Heartbeat deadlines: a busy (or never-announced) worker that
          stayed silent past its deadline is treated as crashed even
@@ -921,12 +926,11 @@ let run t indices =
          partition).  Iterate a snapshot — bury edits t.live. *)
       List.iter
         (fun w ->
-          bury t ~requeue ~now ~results w
+          bury t ~requeue ~now ~pending w
             (Printf.sprintf "heartbeat deadline exceeded (%.1fs)" t.heartbeat_timeout))
         (List.filter (fun w -> w.deadline < now) t.live)
     end
-  done;
-  Array.map (fun i -> match Hashtbl.find_opt results i with Some r -> r | None -> assert false) indices
+  done
 
 let shutdown t =
   List.iter

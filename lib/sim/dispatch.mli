@@ -51,7 +51,8 @@
     the first result per index wins (a reassigned or speculated batch's
     duplicate results are byte-identical), so worker count, local/
     remote mix, batch sizing mode, chaos schedule, partitions, rejoins,
-    and timing are invisible in what {!run} returns.  Feeding {!run} to
+    and timing are invisible in what {!run} delivers (only the arrival
+    order varies).  Feeding {!run} to
     {!Sweep.map_journaled_via} therefore yields byte-identical journals
     and JSONL at any [--workers]/[--listen]/[--batch] configuration —
     the CI chaos and straggler gates pin this. *)
@@ -223,15 +224,21 @@ val create :
     accept burst < 1, a negative remote expectation or rejoin budget,
     [expect_remote > 0] without a listener, or an unencodable token. *)
 
-val run : t -> int array -> (Journal.entry, string) result array
-(** [run t indices] executes the tasks at [indices] across the live
-    workers and returns index-aligned results — the shape
-    {!Sweep.map_journaled_via} expects of its [run].  Handshakes
+val run : t -> int array -> deliver:(int -> (Journal.entry, string) result -> unit) -> unit
+(** [run t indices ~deliver] executes the tasks at [indices] across the
+    live workers and calls [deliver i result] once per index, with the
+    first result to arrive for it, the moment it arrives — in whatever
+    order the workers finish, on the calling domain.  It returns once
+    every index is delivered; this is the shape
+    {!Sweep.map_journaled_via} expects of its [run], so one call covers
+    a whole sweep and every worker pulls from one queue.  Handshakes
     lazily, accepts and re-accepts remote peers throughout, survives
     any number of worker deaths (reassigning as described above), and
     degrades to [fallback] for whatever is left when the last worker
-    dies and the rejoin grace passes.  Workers stay alive across
-    calls; call once per chunk. *)
+    dies and the rejoin grace passes.  Tail speculation under [Auto]
+    fires only once this call's queue is dry.  Workers stay alive
+    across calls.  An exception raised by [deliver] propagates out of
+    [run]. *)
 
 val shutdown : t -> unit
 (** Send {!Worker.Shutdown} to every live worker; local workers get a

@@ -115,23 +115,27 @@ let run_batch t ~run ~total =
     Mutex.unlock t.mutex
   end
 
-let map_local t ~local f total =
+(* One lazily-created local value per worker slot.  Slot [w] is only
+   ever read or written by the domain acting as worker [w], so the
+   array needs no synchronization. *)
+type 'w locals = { make : unit -> 'w; slots : 'w option array }
+
+let locals t make = { make; slots = Array.make t.n_jobs None }
+
+let map_locals t ls f total =
   if total < 0 then invalid_arg "Pool.map: negative task count";
+  if Array.length ls.slots <> t.n_jobs then invalid_arg "Pool.map_locals: locals of another pool";
   let results =
     Array.make total
       (Error (Failure "Pool.map: slot never written", Printexc.get_callstack 0))
   in
-  (* One lazily-created local value per worker slot.  Slot [w] is only
-     ever read or written by the domain acting as worker [w], so the
-     array needs no synchronization. *)
-  let locals = Array.make t.n_jobs None in
   let run ~worker i =
     let w =
-      match locals.(worker) with
+      match ls.slots.(worker) with
       | Some w -> w
       | None ->
-        let w = local () in
-        locals.(worker) <- Some w;
+        let w = ls.make () in
+        ls.slots.(worker) <- Some w;
         w
     in
     (* Capture the backtrace at the raise site, on the worker domain:
@@ -141,6 +145,8 @@ let map_local t ~local f total =
   in
   run_batch t ~run ~total;
   results
+
+let map_local t ~local f total = map_locals t (locals t local) f total
 
 let map t f total = map_local t ~local:(fun () -> ()) (fun () i -> f i) total
 

@@ -40,12 +40,29 @@ val map_local :
   ('a, exn * Printexc.raw_backtrace) result array
 (** [map_local pool ~local f total] is {!map} with per-worker mutable
     state: each worker slot lazily creates one ['w] value with [local ()]
-    on its first task and passes it to every subsequent task it runs.
-    This is the cache hook — the local value persists across batches for
-    the lifetime of the pool, and is only ever touched by its own worker,
-    so it needs no locking.  Determinism caveat: [f] must produce the
-    same result whether or not the local state is warm (caches yes,
-    accumulators no). *)
+    on its first task of this call and passes it to every later task it
+    runs in the call.  The values live for this one call; to keep them
+    across calls, make them once with {!locals} and use {!map_locals}.
+    Determinism caveat: [f] must produce the same result whether or not
+    the local state is warm (caches yes, accumulators no). *)
+
+type 'w locals
+(** One lazily-created ['w] per worker slot of one pool.  Slot [w] is
+    only ever touched by the domain acting as worker [w], so the values
+    need no locking. *)
+
+val locals : t -> (unit -> 'w) -> 'w locals
+(** [locals pool make] is an empty set of slots: worker [w] calls
+    [make ()] on its first task under {!map_locals} and keeps the value
+    for every later task and every later call, for the lifetime of the
+    pool — the cache hook of a sweep that runs in many calls. *)
+
+val map_locals :
+  t -> 'w locals -> ('w -> int -> 'a) -> int -> ('a, exn * Printexc.raw_backtrace) result array
+(** {!map_local} over slots made once with {!locals}, so [make] runs at
+    most [jobs pool] times however many calls share the slots.  Raises
+    [Invalid_argument] when the slots belong to a pool of another
+    size. *)
 
 val shutdown : t -> unit
 (** Joins all worker domains.  Idempotent.  Subsequent maps raise. *)

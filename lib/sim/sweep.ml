@@ -230,11 +230,13 @@ let error_string e bt =
   | "" -> msg
   | b -> msg ^ "\n" ^ b
 
+let string_result = function Ok v -> Ok v | Error (e, bt) -> Error (error_string e bt)
+
 let map ?jobs ~local ~f tasks =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   Pool.with_pool ~jobs (fun pool ->
       Pool.map_local pool ~local (fun w i -> f w i tasks.(i)) (Array.length tasks))
-  |> Array.map (function Ok v -> Ok v | Error (e, bt) -> Error (error_string e bt))
+  |> Array.map string_result
 
 let run ?jobs ~local ~f grid =
   map ?jobs ~local ~f:(fun w _i p -> f w p) (points grid)
@@ -242,14 +244,15 @@ let run ?jobs ~local ~f grid =
 (* {1 Journaled execution}
 
    The crash-safe path: tasks whose key is already journaled are never
-   re-executed, the rest run over the pool in fixed-size chunks, and
-   each chunk's results are appended to the journal — in canonical task
-   order, on the submitting domain, flushed per record — before the
-   next chunk starts.  Emission stays a single ordered pass at the end,
-   reading every row (replayed or fresh) from the in-memory index, so
-   the output is byte-identical to an uninterrupted in-memory run at
-   any job count, and the journal file itself is too: chunking is keyed
-   to task order, never to worker identity. *)
+   re-executed, and the rest go to the executor in one call.  Results
+   come back in any order; a reorder cursor appends each one to the
+   journal as soon as every earlier to-do task has its result — in
+   canonical task order, on the submitting domain, flushed per record.
+   Emission stays a single ordered pass at the end, reading every row
+   (replayed or fresh) from the in-memory index, so the output is
+   byte-identical to an uninterrupted in-memory run at any job count,
+   and the journal file itself is too: appends are keyed to task order,
+   never to worker identity or arrival order. *)
 
 type journal_stats = {
   total : int;
@@ -261,15 +264,14 @@ type journal_stats = {
 
 let default_chunk = 64
 
-(* The executor-agnostic core: [run idx] must evaluate the tasks at
-   indices [idx] (a slice of the canonical to-do order) and return an
-   index-aligned result array.  The pool path and the distributed
-   dispatch path both plug in here; everything that makes the journal
-   and the emitted rows deterministic — key validation, replay, chunked
-   canonical-order appends from this domain, one ordered emission pass —
-   lives below and is shared by both. *)
-let map_journaled_via ?journal ?(chunk = default_chunk) ?on_append ~key ~run ~emit tasks =
-  if chunk < 1 then invalid_arg "Sweep.map_journaled: chunk < 1";
+(* The executor-agnostic core: [run todo ~deliver] must evaluate the
+   tasks at indices [todo] (the canonical to-do order) and call
+   [deliver i result] once per index, in any order, on this domain.
+   The pool path and the distributed dispatch path both plug in here;
+   everything that makes the journal and the emitted rows deterministic
+   — key validation, replay, canonical-order appends from this domain,
+   one ordered emission pass — lives below and is shared by both. *)
+let map_journaled_via ?journal ?on_append ~key ~run ~emit tasks =
   let total = Array.length tasks in
   let keys = Array.map key tasks in
   let seen = Hashtbl.create total in
@@ -293,7 +295,9 @@ let map_journaled_via ?journal ?(chunk = default_chunk) ?on_append ~key ~run ~em
   with
   | Error e -> Error e
   | Ok opened ->
-    let results : Journal.entry option array = Array.make total None in
+    (* One slot per task: replayed entries start filled, to-do slots
+       fill as results are delivered. *)
+    let results : (Journal.entry, string) result option array = Array.make total None in
     let skipped = ref 0 in
     (match opened with
     | None -> ()
@@ -302,7 +306,7 @@ let map_journaled_via ?journal ?(chunk = default_chunk) ?on_append ~key ~run ~em
         (fun i k ->
           match Journal.find j k with
           | Some entry ->
-            results.(i) <- Some entry;
+            results.(i) <- Some (Ok entry);
             incr skipped
           | None -> ())
         keys);
@@ -313,37 +317,36 @@ let map_journaled_via ?journal ?(chunk = default_chunk) ?on_append ~key ~run ~em
     let todo = Array.of_list !todo in
     let failed = ref [] in
     let executed = ref 0 in
-    let remaining = Array.length todo in
-    let start = ref 0 in
-    while !start < remaining do
-      let stop = min remaining (!start + chunk) in
-      let idx = Array.sub todo !start (stop - !start) in
-      let chunk_results = run idx in
-      if Array.length chunk_results <> Array.length idx then
-        invalid_arg "Sweep.map_journaled: run returned a misaligned result array";
-      (* Post-join, canonical order, submitting domain: the only
-         writer the journal ever sees. *)
-      Array.iteri
-        (fun ci result ->
-          let i = idx.(ci) in
-          match result with
-          | Error msg -> failed := (i, msg) :: !failed
-          | Ok entry ->
-            results.(i) <- Some entry;
-            incr executed;
-            (match opened with
-            | None -> ()
-            | Some (j, _) ->
-              Journal.append j ~key:keys.(i) entry;
-              (match on_append with
-              | Some hook -> hook (Journal.appended j)
-              | None -> ())))
-        chunk_results;
-      start := stop
-    done;
+    (* The reorder cursor: [todo.(!cursor)] is the first to-do task not
+       yet appended.  Each delivery advances it over every consecutive
+       filled slot, so the journal only ever grows by the canonical
+       prefix, whatever order results arrive in. *)
+    let cursor = ref 0 in
+    let deliver i result =
+      if i < 0 || i >= total || results.(i) <> None then
+        invalid_arg "Sweep.map_journaled: run delivered an unrequested or repeated result";
+      results.(i) <- Some result;
+      while !cursor < Array.length todo && results.(todo.(!cursor)) <> None do
+        let i = todo.(!cursor) in
+        incr cursor;
+        match results.(i) with
+        | Some (Error msg) -> failed := (i, msg) :: !failed
+        | Some (Ok entry) -> (
+          incr executed;
+          match opened with
+          | None -> ()
+          | Some (j, _) -> (
+            Journal.append j ~key:keys.(i) entry;
+            match on_append with Some hook -> hook (Journal.appended j) | None -> ()))
+        | None -> assert false
+      done
+    in
+    run todo ~deliver;
+    if !cursor < Array.length todo then
+      invalid_arg "Sweep.map_journaled: run returned before delivering every result";
     (match opened with None -> () | Some (j, _) -> Journal.close j);
     Array.iteri
-      (fun i result -> match result with Some entry -> emit i tasks.(i) entry | None -> ())
+      (fun i result -> match result with Some (Ok entry) -> emit i tasks.(i) entry | _ -> ())
       results;
     Ok
       {
@@ -354,18 +357,24 @@ let map_journaled_via ?journal ?(chunk = default_chunk) ?on_append ~key ~run ~em
         recovery = (match opened with Some (_, r) -> Some r | None -> None);
       }
 
-let map_journaled ?jobs ?journal ?chunk ?on_append ~key ~local ~f ~emit tasks =
+(* The in-process executor: [chunk]-task slices over the pool, each
+   delivered in order once it joins.  The worker caches are made once
+   per worker slot and live for the whole sweep. *)
+let map_journaled ?jobs ?journal ?(chunk = default_chunk) ?on_append ~key ~local ~f ~emit tasks =
+  if chunk < 1 then invalid_arg "Sweep.map_journaled: chunk < 1";
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   Pool.with_pool ~jobs (fun pool ->
-      let run idx =
-        Pool.map_local pool ~local
-          (fun w ci ->
-            let i = idx.(ci) in
-            f w i tasks.(i))
-          (Array.length idx)
-        |> Array.map (function Ok v -> Ok v | Error (e, bt) -> Error (error_string e bt))
+      let locals = Pool.locals pool local in
+      let run todo ~deliver =
+        let start = ref 0 in
+        while !start < Array.length todo do
+          let idx = Array.sub todo !start (min chunk (Array.length todo - !start)) in
+          Pool.map_locals pool locals (fun w ci -> f w idx.(ci) tasks.(idx.(ci))) (Array.length idx)
+          |> Array.iteri (fun ci r -> deliver idx.(ci) (string_result r));
+          start := !start + chunk
+        done
       in
-      map_journaled_via ?journal ?chunk ?on_append ~key ~run ~emit tasks)
+      map_journaled_via ?journal ?on_append ~key ~run ~emit tasks)
 
 let run_journaled ?jobs ?journal ?(context = "") ?chunk ?on_append ~local ~f ~emit grid =
   let journal =

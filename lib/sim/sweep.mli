@@ -81,8 +81,8 @@ val to_string : grid -> string
 module Cache : sig
   type ('k, 'v) t
   (** A plain hash-table cache with hit/miss counters.  Not synchronized:
-      one cache belongs to one worker (create it in {!Pool.map_local}'s
-      [local] thunk). *)
+      one cache belongs to one worker (create it in the [local] thunk of
+      {!map} or {!map_journaled}). *)
 
   val create : unit -> ('k, 'v) t
 
@@ -113,51 +113,57 @@ val run :
 (** {1 Journaled execution}
 
     The crash-safe variant of {!map}/{!run}, layered over {!Journal}.
-    Execution proceeds in fixed-size chunks of the canonical task order:
-    each chunk runs over the pool, joins, and is appended to the journal
-    in task order from the submitting domain — so the journal gains
-    durability incrementally while its bytes stay deterministic at every
-    job count.  Tasks whose key the journal already holds are never
-    re-executed; their entries come from the replay index.  Emission is
-    still one ordered pass at the end, over replayed and fresh entries
-    alike, which is why a killed-and-resumed sweep produces output
-    byte-identical to an uninterrupted one (the E24 experiment and the
-    CI kill-resume gate pin this). *)
+    The tasks the journal lacks go to the executor in one call, and
+    their results may come back in any order.  A reorder cursor appends
+    each result to the journal as soon as every earlier to-do task has
+    its own, in canonical task order from the submitting domain, flushed
+    per record — so the journal gains durability as the canonical
+    prefix advances while its bytes stay deterministic at every job
+    count and arrival order.  A kill loses only results that finished
+    out of order and were not yet part of that prefix; a resume
+    recomputes them to the same bytes.  Tasks whose key the journal
+    already holds are never re-executed; their entries come from the
+    replay index.  Emission is one ordered pass at the end, over
+    replayed and fresh entries alike, which is why a killed-and-resumed
+    sweep produces output byte-identical to an uninterrupted one (the
+    E24 experiment and the CI kill-resume gate pin this). *)
 
 type journal_stats = {
   total : int;  (** tasks in the sweep *)
   executed : int;  (** tasks actually run (and journaled) this time *)
   skipped : int;  (** tasks satisfied from the journal's replay index *)
   failed : (int * string) list;
-      (** tasks that raised, by index — not journaled, not emitted *)
+      (** tasks that raised, in task order — not journaled, not emitted *)
   recovery : Journal.stats option;
       (** what {!Journal.open_} found on disk; [None] when unjournaled *)
 }
 
 val default_chunk : int
-(** [64] — the append granularity (tasks per chunk), deliberately
-    independent of the job count. *)
+(** [64] — how many tasks the in-process executor of {!map_journaled}
+    hands the pool per call, deliberately independent of the job
+    count. *)
 
 val map_journaled_via :
   ?journal:string * Journal.context ->
-  ?chunk:int ->
   ?on_append:(int -> unit) ->
   key:('t -> int) ->
-  run:(int array -> (Journal.entry, string) result array) ->
+  run:(int array -> deliver:(int -> (Journal.entry, string) result -> unit) -> unit) ->
   emit:(int -> 't -> Journal.entry -> unit) ->
   't array ->
   (journal_stats, string) result
-(** The executor-agnostic core behind {!map_journaled}.  [run idx] must
-    evaluate the tasks at indices [idx] — a slice of the canonical
-    to-do order, at most [chunk] long — and return an index-aligned
-    array of entries or failure strings; how it does so (domain pool,
-    subprocess workers via {!Dispatch}, inline) is its business, as long
-    as each entry is a pure function of its task.  Everything that makes
-    the journal and the emitted rows deterministic lives here: key
-    validation, replay-index skipping, chunked canonical-order appends
-    from the calling domain, and the single ordered emission pass.
-    Raises [Invalid_argument] when [run] returns an array of the wrong
-    length. *)
+(** The executor-agnostic core behind {!map_journaled}.  It calls [run
+    todo ~deliver] once, with every task index the journal lacks in
+    canonical order; [run] must call [deliver i result] exactly once
+    for each [i] in [todo], in any order, on the calling domain, and
+    return when all are delivered.  How it evaluates them (domain pool,
+    subprocess workers via {!Dispatch}, inline) is its business, as
+    long as each entry is a pure function of its task.  Everything
+    that makes the journal and the emitted rows deterministic lives
+    here: key validation, replay-index skipping, the reorder cursor
+    that appends in canonical order from the calling domain, and the
+    single ordered emission pass.  Raises [Invalid_argument] when
+    [run] delivers an index outside [todo] or one twice, or returns
+    before delivering them all. *)
 
 val map_journaled :
   ?jobs:int ->
@@ -177,8 +183,11 @@ val map_journaled :
     [Invalid_argument] before anything executes.  With [?journal:(path,
     ctx)] the journal at [path] is opened (created fresh, or replayed
     and torn-tail-truncated — see {!Journal.open_}; a context mismatch
-    is an [Error] and nothing runs).  After the run, [emit index task
-    entry] is called in task order for every completed task.
+    is an [Error] and nothing runs).  The pool runs the to-do tasks
+    [chunk] (default {!default_chunk}) at a time; each worker slot
+    makes its [local] value once and keeps it for the whole sweep.
+    After the run, [emit index task entry] is called in task order for
+    every completed task.
     [on_append] (testing hook) fires after each record is durable, with
     the cumulative count of records appended by this process — the
     [--crash-after] CLI flag uses it to die deterministically.  Raises

@@ -164,8 +164,9 @@ let test_accept_rate_limit_spares_budget () =
   Fun.protect
     ~finally:(fun () -> Dispatch.shutdown d)
     (fun () ->
-      let results = Dispatch.run d [| 0; 1; 2; 3 |] in
-      check_int "all indices answered" 4 (Array.length results);
+      let delivered = ref 0 in
+      Dispatch.run d [| 0; 1; 2; 3 |] ~deliver:(fun _ _ -> incr delivered);
+      check_int "all indices answered" 4 !delivered;
       let attempted = Domain.join client in
       check_int "client made all its connections" 7 attempted;
       let s = Dispatch.stats d in
@@ -343,6 +344,49 @@ let test_straggler_triggers_speculation () =
   Sys.remove out;
   Sys.remove stats
 
+(* A fault-free sweep through the journaled core over real worker
+   processes: every worker pulls from one queue, so tail speculation
+   fires only when the whole sweep's queue is dry — at most one
+   speculative copy per spare worker, and at most one batch of
+   duplicated work overall. *)
+let test_speculation_stays_at_the_tail () =
+  let spec = "protocols=wakeup,broadcast;ns=8,12;scheds=sync,async-fifo;reps=80;seed=3" in
+  let grid = match Sim.Sweep.of_string spec with Ok g -> g | Error e -> Alcotest.fail e in
+  let points = Sim.Sweep.points grid in
+  let n = Array.length points and workers = 2 and max_batch = 64 in
+  check_bool "at least 512 points" true (n >= 512);
+  let d =
+    Dispatch.create ~workers
+      ~batching:(Dispatch.Auto { min_batch = 1; max_batch })
+      ~command:(fun ~id -> [| exe; "worker"; "--id"; string_of_int id |])
+      ~context:{ Journal.spec = Sim.Sweep.to_string grid; extra = "protect=raw;retry=0" }
+      ~fallback:(fun _ -> Error "fallback ran")
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Dispatch.shutdown d)
+    (fun () ->
+      (match
+         Sim.Sweep.map_journaled_via
+           ~key:(fun p -> p.Sim.Sweep.seed)
+           ~run:(Dispatch.run d)
+           ~emit:(fun _ _ _ -> ())
+           points
+       with
+      | Error e -> Alcotest.fail e
+      | Ok stats ->
+        check_int "every point executed" n stats.Sim.Sweep.executed;
+        check_int "no point failed" 0 (List.length stats.Sim.Sweep.failed));
+      let ws = Dispatch.worker_stats d in
+      let sum f = List.fold_left (fun a w -> a + f w) 0 ws in
+      let results = sum (fun w -> w.Dispatch.tasks) in
+      let speculative = sum (fun w -> w.Dispatch.speculative) in
+      check_bool (Printf.sprintf "results %d <= n + max_batch" results) true
+        (results <= n + max_batch);
+      check_bool (Printf.sprintf "speculative batches %d <= workers - 1" speculative) true
+        (speculative <= workers - 1);
+      check_int "nothing ran inline" 0 (Dispatch.stats d).Dispatch.inline_tasks)
+
 let suite =
   [
     Alcotest.test_case "EWMA converges to a steady rate and decays when idle" `Quick
@@ -364,4 +408,6 @@ let suite =
       test_adaptive_determinism_grid;
     Alcotest.test_case "a straggler triggers speculation and identical bytes" `Slow
       test_straggler_triggers_speculation;
+    Alcotest.test_case "speculation stays at the tail of a whole-sweep run" `Slow
+      test_speculation_stays_at_the_tail;
   ]

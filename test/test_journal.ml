@@ -773,6 +773,122 @@ let test_on_append_counts () =
       check_bool "on_append saw 1..100 in order" true
         (List.rev !counts = List.init 100 (fun i -> i + 1)))
 
+(* The in-process executor makes each worker slot's local value once for
+   the whole sweep, not once per chunk: 13 chunks at jobs=2 call
+   [local] at most twice. *)
+let test_pool_locals_live_for_the_sweep () =
+  let made = Atomic.make 0 in
+  match
+    Sweep.map_journaled ~jobs:2 ~chunk:8 ~key:synth_key
+      ~local:(fun () -> Atomic.incr made)
+      ~f:(fun () _i t -> mk_entry t)
+      ~emit:(fun _ _ _ -> ())
+      synth_tasks
+  with
+  | Error e -> Alcotest.failf "run: %s" e
+  | Ok stats ->
+    check_int "every task executed" 100 stats.Sweep.executed;
+    let made = Atomic.get made in
+    check_bool (Printf.sprintf "local made at most jobs times (made %d)" made) true
+      (made >= 1 && made <= 2)
+
+(* {1 The reorder cursor}
+
+   [map_journaled_via] takes results in any order and appends them in
+   canonical order.  These executors deliver the same outcomes — every
+   seventh task fails — in task order, reversed, and seeded-shuffled. *)
+
+let synth_outcome t =
+  if t mod 7 = 5 then Error (Printf.sprintf "task %d failed" t) else Ok (mk_entry t)
+
+let reversed todo = Array.init (Array.length todo) (fun k -> todo.(Array.length todo - 1 - k))
+
+let shuffled seed todo =
+  let a = Array.copy todo in
+  let rng = Random.State.make [| seed |] in
+  for k = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (k + 1) in
+    let x = a.(k) in
+    a.(k) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let run_via ?on_append ~order path =
+  let emitted = ref [] in
+  let result =
+    Sweep.map_journaled_via ~journal:(path, synth_ctx) ?on_append ~key:synth_key
+      ~run:(fun todo ~deliver ->
+        Array.iter (fun i -> deliver i (synth_outcome synth_tasks.(i))) (order todo))
+      ~emit:(fun i t e -> emitted := (i, t, e) :: !emitted)
+      synth_tasks
+  in
+  match result with
+  | Error e -> Alcotest.failf "map_journaled_via: %s" e
+  | Ok stats -> (stats, List.rev !emitted)
+
+let orders = [ ("reversed", reversed); ("shuffled 1", shuffled 1); ("shuffled 2", shuffled 2) ]
+
+let test_reorder_any_delivery_order () =
+  with_tmp (fun ref_path ->
+      let ref_stats, ref_emitted = run_via ~order:Fun.id ref_path in
+      let ref_bytes = read_file ref_path in
+      check_int "in-order: 14 failures" 14 (List.length ref_stats.Sweep.failed);
+      let failed_at = List.map fst ref_stats.Sweep.failed in
+      check_bool "in-order: failures in task order" true (failed_at = List.sort compare failed_at);
+      check_int "in-order: 86 rows" 86 (List.length ref_emitted);
+      List.iter
+        (fun (name, order) ->
+          with_tmp (fun path ->
+              let stats, emitted = run_via ~order path in
+              check_string (name ^ ": journal bytes") ref_bytes (read_file path);
+              check_bool (name ^ ": emitted rows") true (emitted = ref_emitted);
+              check_bool (name ^ ": failed list") true
+                (stats.Sweep.failed = ref_stats.Sweep.failed)))
+        orders)
+
+exception Killed
+
+(* A kill after the [depth]-th durable record (the [--crash-after]
+   hook) under shuffled delivery, then a resume under reversed
+   delivery: the journal holds exactly the canonical prefix, and the
+   resumed journal and rows equal the uninterrupted ones. *)
+let test_reorder_kill_and_resume () =
+  with_tmp (fun ref_path ->
+      let _, ref_emitted = run_via ~order:Fun.id ref_path in
+      let ref_bytes = read_file ref_path in
+      List.iter
+        (fun depth ->
+          with_tmp (fun path ->
+              (match
+                 run_via
+                   ~on_append:(fun n -> if n >= depth then raise Killed)
+                   ~order:(shuffled depth) path
+               with
+              | _ -> Alcotest.failf "depth %d: the kill never fired" depth
+              | exception Killed -> ());
+              let stats, emitted = run_via ~order:reversed path in
+              let name what = Printf.sprintf "depth %d: %s" depth what in
+              check_int (name "prefix replayed") depth stats.Sweep.skipped;
+              check_string (name "journal bytes") ref_bytes (read_file path);
+              check_bool (name "emitted rows") true (emitted = ref_emitted)))
+        [ 1; 9; 33; 64; 86 ])
+
+(* An executor that breaks the delivery contract is refused. *)
+let test_reorder_rejects_bad_delivery () =
+  let attempt run =
+    match
+      Sweep.map_journaled_via ~key:synth_key ~run ~emit:(fun _ _ _ -> ()) synth_tasks
+    with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let ok i = Ok (mk_entry i) in
+  check_bool "a repeated index" true
+    (attempt (fun todo ~deliver -> Array.iter (fun i -> deliver i (ok i)) todo; deliver 0 (ok 0)));
+  check_bool "an index out of range" true (attempt (fun _ ~deliver -> deliver 100 (ok 100)));
+  check_bool "returning early" true (attempt (fun _ ~deliver -> deliver 3 (ok 3)))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrips: kinds x keys x payload widths" `Quick
@@ -806,4 +922,12 @@ let suite =
       test_map_journaled_failures_not_journaled;
     Alcotest.test_case "on_append reports cumulative durable records" `Quick
       test_on_append_counts;
+    Alcotest.test_case "pool locals live for the whole journaled sweep" `Quick
+      test_pool_locals_live_for_the_sweep;
+    Alcotest.test_case "reorder cursor: any delivery order, same bytes" `Quick
+      test_reorder_any_delivery_order;
+    Alcotest.test_case "reorder cursor: kill at several depths, resume" `Quick
+      test_reorder_kill_and_resume;
+    Alcotest.test_case "reorder cursor: bad deliveries are refused" `Quick
+      test_reorder_rejects_bad_delivery;
   ]

@@ -301,8 +301,8 @@ let test_dispatch_degrades_to_fallback () =
   Fun.protect
     ~finally:(fun () -> Sim.Dispatch.shutdown d)
     (fun () ->
-      let results = Sim.Dispatch.run d [| 0; 1; 2; 3; 4 |] in
-      check_int "all indices answered" 5 (Array.length results);
+      let results = Array.make 5 (Error "never delivered") in
+      Sim.Dispatch.run d [| 0; 1; 2; 3; 4 |] ~deliver:(fun i r -> results.(i) <- r);
       Array.iteri
         (fun i r ->
           match r with
