@@ -182,35 +182,6 @@ let jobs_arg =
 
 let resolve_jobs = function Some j -> j | None -> Sim.Pool.default_jobs ()
 
-(* Same edge-validation stance as [-j] for the intra-run shard count:
-   --shards 0, negatives, and unparsable ORACLE_SIZE_SHARDS values are
-   Cmdliner errors (exit 124) with the offending text. *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some k when k >= 1 -> Ok k
-    | Some k -> Error (`Msg (Printf.sprintf "shard count must be at least 1, got %d" k))
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid shard count %S (expected a positive integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let shards_arg =
-  Arg.(
-    value
-    & opt (some shards_conv) None
-    & info [ "shards" ] ~docv:"N"
-        ~env:
-          (Cmd.Env.info "ORACLE_SIZE_SHARDS"
-             ~doc:"Default shard count when $(b,--shards) is absent.")
-        ~doc:
-          "Execute one run across $(docv) domains (synchronous scheduler only; asynchronous \
-           schedulers always run sequentially).  Defaults to $(b,ORACLE_SIZE_SHARDS) when \
-           set, else 1.  Traces, statistics and verdicts are bit-identical for every \
-           $(docv); only the wall time changes.")
-
-let resolve_shards = function Some k -> k | None -> Sim.Shard.default_shards ()
-
 let suite_flag =
   Arg.(
     value & flag
@@ -223,12 +194,12 @@ let suite_flag =
 
 (* The adversarial path shared by wakeup and broadcast: run the hardened
    harness under the plan and report the verdict. *)
-let run_faulty protocol plan ~protect ~retry ~shards family g ~source ~scheduler sinks =
+let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
   if retry < 0 then begin
     Printf.eprintf "oraclesize: --retry must be non-negative\n";
     exit 2
   end;
-  let o = Fault.Harness.run ~scheduler ~plan ~sinks ~protect ~retry ~shards protocol g ~source in
+  let o = Fault.Harness.run ~scheduler ~plan ~sinks ~protect ~retry protocol g ~source in
   let b = Fault.Harness.budgets ~retry protocol g in
   let stats = o.Fault.Harness.result.Sim.Runner.stats in
   Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
@@ -328,6 +299,15 @@ let with_trace_sinks trace_out f =
 
 let build family n seed = Families.build family ~n ~seed
 
+(* The end of a fault-free wakeup/broadcast run: exit 1 unless every node
+   was informed, and name the message cap when it stopped the run, so a
+   cut-off run never reads as a scheme failure. *)
+let finish_run g (r : Sim.Runner.result) =
+  if not r.Sim.Runner.quiescent then
+    Printf.printf "cut off at %d messages (cap %d)\n" r.Sim.Runner.stats.Sim.Runner.sent
+      (Sim.Runner.default_max_messages ~retry:0 g);
+  if not (r.Sim.Runner.all_informed && r.Sim.Runner.quiescent) then exit 1
+
 (* {1 graph} *)
 
 let graph_cmd =
@@ -369,10 +349,8 @@ let wakeup_cmd =
       & opt encoding_conv Oracle_core.Wakeup.Paper
       & info [ "encoding" ] ~docv:"ENC" ~doc:"Advice encoding: paper, minimal, or gamma.")
   in
-  let run family n seed source scheduler encoding fault protect retry suite jobs shards
-      trace_out =
+  let run family n seed source scheduler encoding fault protect retry suite jobs trace_out =
     let g = build family n seed in
-    let shards = resolve_shards shards in
     match fault with
     | Some plan when suite ->
       if trace_out <> None then begin
@@ -383,7 +361,7 @@ let wakeup_cmd =
         family g ~source
     | Some plan ->
       with_trace_sinks trace_out (fun sinks ->
-          run_faulty Fault.Harness.Wakeup plan ~protect ~retry ~shards family g ~source
+          run_faulty Fault.Harness.Wakeup plan ~protect ~retry family g ~source
             ~scheduler sinks)
     | None when suite ->
       Printf.eprintf "oraclesize: --suite is only meaningful together with --fault\n";
@@ -391,7 +369,7 @@ let wakeup_cmd =
     | None ->
       let o =
         with_trace_sinks trace_out (fun sinks ->
-            Oracle_core.Wakeup.run ~encoding ~scheduler ~sinks ~shards g ~source)
+            Oracle_core.Wakeup.run ~encoding ~scheduler ~sinks g ~source)
       in
       let stats = o.Oracle_core.Wakeup.result.Sim.Runner.stats in
       Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
@@ -400,13 +378,13 @@ let wakeup_cmd =
         (Oracle_core.Bounds.wakeup_advice_upper ~n:(Graph.n g));
       Printf.printf "messages:     %d  (optimal: %d)\n" stats.Sim.Runner.sent (Graph.n g - 1);
       Printf.printf "all awake:    %b\n" o.Oracle_core.Wakeup.result.Sim.Runner.all_informed;
-      if not o.Oracle_core.Wakeup.result.Sim.Runner.all_informed then exit 1
+      finish_run g o.Oracle_core.Wakeup.result
   in
   Cmd.v
     (Cmd.info "wakeup" ~doc:"Run the Theorem 2.1 wakeup oracle and scheme.")
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ source_arg $ scheduler_arg $ encoding_arg
-      $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg $ shards_arg
+      $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg
       $ trace_out_arg)
 
 (* {1 broadcast} *)
@@ -429,9 +407,8 @@ let broadcast_cmd =
           ~doc:"Spanning tree: light (Claim 3.1, default), bfs, or dfs.")
   in
   let run family n seed source scheduler (tree_name, tree) fault protect retry suite jobs
-      shards trace_out =
+      trace_out =
     let g = build family n seed in
-    let shards = resolve_shards shards in
     match fault with
     | Some plan when suite ->
       if trace_out <> None then begin
@@ -442,7 +419,7 @@ let broadcast_cmd =
         family g ~source
     | Some plan ->
       with_trace_sinks trace_out (fun sinks ->
-          run_faulty Fault.Harness.Broadcast plan ~protect ~retry ~shards family g ~source
+          run_faulty Fault.Harness.Broadcast plan ~protect ~retry family g ~source
             ~scheduler sinks)
     | None when suite ->
       Printf.eprintf "oraclesize: --suite is only meaningful together with --fault\n";
@@ -450,7 +427,7 @@ let broadcast_cmd =
     | None ->
       let o =
         with_trace_sinks trace_out (fun sinks ->
-            Oracle_core.Broadcast.run ~tree ~scheduler ~sinks ~shards g ~source)
+            Oracle_core.Broadcast.run ~tree ~scheduler ~sinks g ~source)
       in
       let stats = o.Oracle_core.Broadcast.result.Sim.Runner.stats in
       Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
@@ -464,13 +441,13 @@ let broadcast_cmd =
         stats.Sim.Runner.sent stats.Sim.Runner.source_sent stats.Sim.Runner.hello_sent
         (3 * Graph.n g);
       Printf.printf "all informed: %b\n" o.Oracle_core.Broadcast.result.Sim.Runner.all_informed;
-      if not o.Oracle_core.Broadcast.result.Sim.Runner.all_informed then exit 1
+      finish_run g o.Oracle_core.Broadcast.result
   in
   Cmd.v
     (Cmd.info "broadcast" ~doc:"Run the Theorem 3.1 broadcast oracle and Scheme B.")
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ source_arg $ scheduler_arg $ tree_arg
-      $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg $ shards_arg
+      $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg
       $ trace_out_arg)
 
 (* {1 separation} *)

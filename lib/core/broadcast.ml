@@ -261,16 +261,15 @@ type outcome = {
 }
 
 let run ?(tree = fun g ~root -> Spanning.light g ~root) ?(encoding = Marked)
-    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?(shards = 1) ?registry g ~source =
+    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?registry g ~source =
   let t = tree g ~root:source in
   let tree_contribution = Spanning.contribution g (Spanning.edges t) in
   let o = oracle ~tree:(fun _ ~root:_ -> t) ~encoding () in
   let advice = o.Oracles.Oracle.advise g ~source in
   let advice_bits = Oracles.Advice.size_bits advice in
   let result =
-    Sim.Shard.run ~scheduler ~sinks ~shards
-      ~advice:(Oracles.Advice.get advice)
-      g ~source (scheme ~encoding ())
+    Sim.Shard.run ~scheduler ~sinks ~advice:(Oracles.Advice.get advice) g ~source
+      (scheme ~encoding ())
   in
   Obs.Registry.note ?registry
     (Sim.Runner.telemetry ~protocol:"broadcast" ~scheduler ~advice_bits result);

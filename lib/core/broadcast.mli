@@ -44,7 +44,6 @@ val run :
   ?encoding:encoding ->
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?shards:int ->
   ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   source:int ->
@@ -52,9 +51,9 @@ val run :
 (** Build the oracle, run Scheme B, return the result together with the
     oracle size.  Telemetry events stream into [sinks] (see
     {!Sim.Runner.run}); one protocol record named ["broadcast"] is noted
-    into [registry] (default: {!Obs.Registry.default}).  [shards]
-    (default 1) executes the run across that many domains via
-    {!Sim.Shard.run} — output is bit-identical at any shard count. *)
+    into [registry] when one is given.  The run goes through
+    {!Sim.Shard.run}, which takes the sharded kernel for a synchronous run
+    without sinks — output is bit-identical either way. *)
 
 val decode_known_ports : encoding -> Bitstring.Bitbuf.t -> int list
 (** The advice decoder (exposed for tests): the ports Scheme B starts out

@@ -39,7 +39,7 @@ val max_finding :
 (** Advice-free flooding election.  Telemetry streams into [sinks]; after
     quiescence one {!Obs.Event.Decide} per node reports its final role,
     and a protocol record named ["election-max-finding"] is noted into
-    [registry] (default: {!Obs.Registry.default}). *)
+    [registry] when one is given. *)
 
 val with_marked_leader :
   ?scheduler:Sim.Scheduler.t ->

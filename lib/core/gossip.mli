@@ -38,7 +38,7 @@ val run :
 (** Tree gossip: [2(n-1)] messages.  Telemetry events stream into [sinks]
     (see {!Sim.Runner.run}); one protocol record named ["gossip-tree"],
     with [completed] meaning rumor completeness, is noted into [registry]
-    (default: {!Obs.Registry.default}). *)
+    when one is given. *)
 
 val run_flooding :
   ?scheduler:Sim.Scheduler.t ->

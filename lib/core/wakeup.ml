@@ -165,7 +165,7 @@ let hardened_scheme ?(encoding = Paper) ?(protect = Bitstring.Ecc.Raw) ?on_fallb
 type outcome = { result : Sim.Runner.result; advice_bits : int; tree_ok : bool }
 
 let run ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(encoding = Paper)
-    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?(shards = 1) ?registry g ~source =
+    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?registry g ~source =
   let t = tree g ~root:source in
   let tree_ok = Spanning.check g t = Ok () in
   let o = oracle ~tree:(fun _ ~root:_ -> t) ~encoding () in
@@ -173,7 +173,7 @@ let run ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(encoding = Paper)
   let advice_bits = Oracles.Advice.size_bits advice in
   let factory = Sim.Scheme.check_wakeup (scheme ~encoding ()) in
   let result =
-    Sim.Shard.run ~scheduler ~sinks ~shards ~advice:(Oracles.Advice.get advice) g ~source factory
+    Sim.Shard.run ~scheduler ~sinks ~advice:(Oracles.Advice.get advice) g ~source factory
   in
   Obs.Registry.note ?registry
     (Sim.Runner.telemetry ~protocol:"wakeup" ~scheduler ~advice_bits result);

@@ -64,8 +64,11 @@ let advise protocol g ~source =
   oracle.Oracles.Oracle.advise g ~source
 
 let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []) ?max_messages
-    ?(protect = Bitstring.Ecc.Raw) ?(retry = 0) ?(shards = 1) ?raw_advice protocol g ~source =
+    ?(protect = Bitstring.Ecc.Raw) ?(retry = 0) ?raw_advice protocol g ~source =
   let n = Graph.n g in
+  let max_messages =
+    Option.value max_messages ~default:(Sim.Runner.default_max_messages ~retry g)
+  in
   (* [raw_advice] is the sweep cache hook: advice is a pure function of
      (protocol, graph, source), so a caller sweeping many plans or
      schedulers over one graph computes it once via [advise] and passes
@@ -108,7 +111,7 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     | Broadcast -> Oracle_core.Broadcast.hardened_scheme ~protect ~on_fallback ~on_corrected ()
   in
   let result =
-    Sim.Shard.run ~scheduler ?max_messages ~sinks:all_sinks ~faults:plan ~retry ~shards
+    Sim.Runner.run ~scheduler ~max_messages ~sinks:all_sinks ~faults:plan ~retry
       ~advice:(Advice.get corrupted) g ~source factory
   in
   let events = collected () in
@@ -130,7 +133,8 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     end
   in
   let verdict =
-    Verdict.classify ~check_silence:(protocol = Wakeup) ~quiescent:result.Sim.Runner.quiescent
+    Verdict.classify ~check_silence:(protocol = Wakeup)
+      ?cutoff:(if result.Sim.Runner.quiescent then None else Some max_messages)
       ?unreachable ~n
       ~budgets:(budgets ~retry protocol g)
       events

@@ -61,7 +61,6 @@ val run :
   ?max_messages:int ->
   ?protect:Bitstring.Ecc.level ->
   ?retry:int ->
-  ?shards:int ->
   ?raw_advice:Oracles.Advice.t ->
   protocol ->
   Netgraph.Graph.t ->
@@ -72,9 +71,10 @@ val run :
     (default [Raw]: none) and retransmission budget [retry] (default
     [0]: recovery off — bit-for-bit the PR 2 behaviour).
 
-    [shards] (default 1) executes the run across that many domains via
-    {!Sim.Shard.run}; the stream, verdict and outcome are bit-identical
-    at any shard count.
+    The run always goes through {!Sim.Runner.run}: the collect sink the
+    verdict reads is attached to every run, and the sharded kernel takes
+    no sinks.  [max_messages] defaults to
+    {!Sim.Runner.default_max_messages}[ ~retry g].
 
     [raw_advice] (default: computed with {!advise}) lets sweeps reuse one
     advice assignment across the plan × scheduler × protection axes; the
@@ -91,9 +91,10 @@ val run :
 
     The wakeup silence invariant is checked for [Wakeup] runs; a
     non-quiescent result (stopped by [max_messages]) classifies as
-    [Violated]; crashed/dead nodes are exempt from informedness, and
-    with [retry > 0] so are survivors the failure pattern physically
-    disconnected from the source — see {!Verdict.classify}. *)
+    [Violated "message-cutoff: ..."], naming the cap; crashed/dead nodes
+    are exempt from informedness, and with [retry > 0] so are survivors
+    the failure pattern physically disconnected from the source — see
+    {!Verdict.classify}. *)
 
 val journal_entry : Netgraph.Graph.t -> outcome -> Sim.Journal.entry
 (** Flatten an outcome into the persistent sweep journal's entry record

@@ -16,7 +16,7 @@ type t =
 
 let fallback_tag = "fallback-flood"
 
-let classify ?(check_silence = false) ?(quiescent = true) ?unreachable ~n ~budgets events =
+let classify ?(check_silence = false) ?cutoff ?unreachable ~n ~budgets events =
   let out = Obs.Replay.replay ~n events in
   let excluded = Array.make n false in
   let failed = ref 0 in
@@ -61,32 +61,34 @@ let classify ?(check_silence = false) ?(quiescent = true) ?unreachable ~n ~budge
     end
   done;
   let excluded_count = n - !survivors in
-  if check_silence && not !silent then
-    Violated "wakeup-silence: a non-woken node transmitted"
-  else if not quiescent then
+  match cutoff with
+  | _ when check_silence && not !silent -> Violated "wakeup-silence: a non-woken node transmitted"
+  | Some cap ->
     Violated
-      (Printf.sprintf "message-cutoff: stopped by max_messages after %d sends, queue not drained"
-         sent)
-  else if sent > budgets.degraded then
-    Violated (Printf.sprintf "message-budget: %d sent, %d allowed even degraded" sent budgets.degraded)
-  else if retransmits > budgets.recovery then
-    Violated
-      (Printf.sprintf "recovery-budget: %d retransmissions, %d allowed" retransmits budgets.recovery)
-  else if out.Obs.Replay.in_flight > 0 then
-    Violated (Printf.sprintf "runaway: %d messages still in flight" out.Obs.Replay.in_flight)
-  else if !informed < !survivors then Stalled { informed = !informed; survivors = !survivors; n }
-  else if !fallbacks = 0 && excluded_count = 0 && retransmits = 0 && sent <= budgets.clean then
-    Completed
-  else begin
-    let parts = ref [] in
-    if sent > budgets.clean then
-      parts := Printf.sprintf "over-clean-budget(%d>%d)" sent budgets.clean :: !parts;
-    if !failed > 0 then parts := Printf.sprintf "node-failures(%d)" !failed :: !parts;
-    if !stranded > 0 then parts := Printf.sprintf "unreachable(%d)" !stranded :: !parts;
-    if !fallbacks > 0 then parts := Printf.sprintf "advice-fallback(%d)" !fallbacks :: !parts;
-    if retransmits > 0 then parts := Printf.sprintf "retransmissions(%d)" retransmits :: !parts;
-    Degraded (String.concat "," !parts)
-  end
+      (Printf.sprintf "message-cutoff: cut off at %d messages (cap %d), queue not drained" sent cap)
+  | None ->
+    if sent > budgets.degraded then
+      Violated
+        (Printf.sprintf "message-budget: %d sent, %d allowed even degraded" sent budgets.degraded)
+    else if retransmits > budgets.recovery then
+      Violated
+        (Printf.sprintf "recovery-budget: %d retransmissions, %d allowed" retransmits
+           budgets.recovery)
+    else if out.Obs.Replay.in_flight > 0 then
+      Violated (Printf.sprintf "runaway: %d messages still in flight" out.Obs.Replay.in_flight)
+    else if !informed < !survivors then Stalled { informed = !informed; survivors = !survivors; n }
+    else if !fallbacks = 0 && excluded_count = 0 && retransmits = 0 && sent <= budgets.clean then
+      Completed
+    else begin
+      let parts = ref [] in
+      if sent > budgets.clean then
+        parts := Printf.sprintf "over-clean-budget(%d>%d)" sent budgets.clean :: !parts;
+      if !failed > 0 then parts := Printf.sprintf "node-failures(%d)" !failed :: !parts;
+      if !stranded > 0 then parts := Printf.sprintf "unreachable(%d)" !stranded :: !parts;
+      if !fallbacks > 0 then parts := Printf.sprintf "advice-fallback(%d)" !fallbacks :: !parts;
+      if retransmits > 0 then parts := Printf.sprintf "retransmissions(%d)" retransmits :: !parts;
+      Degraded (String.concat "," !parts)
+    end
 
 let to_string = function
   | Completed -> "completed"

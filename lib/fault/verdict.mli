@@ -6,9 +6,9 @@
     which nodes abandoned their advice, how much repair traffic the
     network layer injected — is in the typed event stream, so a verdict
     can equally be computed offline from a recorded JSONL trace.  The two
-    facts a stream cannot carry — was the run cut off by [max_messages],
+    facts a stream cannot carry — was the run cut off by its message cap,
     and which nodes the failure pattern physically stranded — arrive as
-    the [?quiescent] and [?unreachable] parameters. *)
+    the [?cutoff] and [?unreachable] parameters. *)
 
 type budgets = {
   clean : int;
@@ -57,7 +57,7 @@ val fallback_tag : string
 
 val classify :
   ?check_silence:bool ->
-  ?quiescent:bool ->
+  ?cutoff:int ->
   ?unreachable:bool array ->
   n:int ->
   budgets:budgets ->
@@ -66,10 +66,10 @@ val classify :
 (** Fold a complete run's events into a verdict.  Precedence: a
     violation dominates — [check_silence] (default false) enables the
     wakeup silence invariant (any [Send] by a non-woken node);
-    [quiescent:false] (default [true]) marks a run stopped by the
-    runner's [max_messages] cutoff, which classifies as
-    [Violated "message-cutoff..."] rather than [Stalled] since the
-    budget, not the network, ended it; the message-budget,
+    [cutoff:c] marks a run the runner stopped at its message cap [c]
+    (absent: the run drained), which classifies as
+    [Violated "message-cutoff: cut off at N messages (cap c), ..."]
+    rather than [Stalled] since the cap, not the network, ended it; the message-budget,
     recovery-budget and drained-queue checks are always on.  Then
     uninformed survivors mean [Stalled]; then a clean run — no fallback,
     no failed node, no retransmission, within [budgets.clean] — is

@@ -17,9 +17,8 @@ type t = { mutable entries : record list (* newest first *) }
 
 let create () = { entries = [] }
 
-let default = create ()
-
-let note ?(registry = default) r = registry.entries <- r :: registry.entries
+let note ?registry r =
+  match registry with Some t -> t.entries <- r :: t.entries | None -> ()
 
 let records t = List.rev t.entries
 

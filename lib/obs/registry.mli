@@ -3,9 +3,10 @@
     Each instrumented protocol run (wakeup, broadcast, election, gossip,
     …) deposits one {!record} here, so heterogeneous schemes report
     message class, bits on wire and advice-bit usage through one uniform
-    shape.  The default registry is process-global — protocol wrappers in
-    [lib/core] note into it automatically — and harnesses can snapshot or
-    clear it between experiments, or keep private registries. *)
+    shape.  There is no process-global registry: the protocol wrappers in
+    [lib/core] note into the registry their caller passes, and into none
+    otherwise.  A registry is not synchronised; share one between domains
+    only behind a lock. *)
 
 type record = {
   protocol : string;  (** e.g. ["wakeup"], ["broadcast"], ["gossip-tree"] *)
@@ -31,11 +32,8 @@ type t
 
 val create : unit -> t
 
-val default : t
-(** The process-global registry the [lib/core] wrappers note into. *)
-
 val note : ?registry:t -> record -> unit
-(** Append a record (to {!default} unless [registry] is given). *)
+(** Append a record to [registry]; without one, do nothing. *)
 
 val records : t -> record list
 (** All records, oldest first. *)

@@ -67,11 +67,20 @@ let telemetry ~protocol ~scheduler ?completed ~advice_bits r =
     completed = (match completed with Some c -> c | None -> r.all_informed);
   }
 
-let run ?(scheduler = Scheduler.Async_fifo) ?(max_messages = 1_000_000) ?(record_trace = false)
-    ?(sinks = []) ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+(* The broadcast degraded budget [4m + 3n] (the larger of the two in
+   [Fault.Harness.budgets]) once per allowed attempt, so the cap sits at
+   or above [degraded + recovery] and never fires before the verdict
+   would; the old fixed cap stays as a floor, which keeps every
+   small-instance result unchanged. *)
+let default_max_messages ~retry g =
+  max 1_000_000 ((retry + 1) * ((4 * Graph.m g) + (3 * Graph.n g)))
+
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
+    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Runner.run: source out of range";
   if retry < 0 then invalid_arg "Runner.run: negative retry budget";
+  let max_messages = Option.value max_messages ~default:(default_max_messages ~retry g) in
   (* Raw CSR adjacency for the emit hot loop: one offset read plus two
      flat int reads per send, no tuple allocation, no bounds recheck
      inside [Graph.endpoint]. *)

@@ -68,8 +68,9 @@ val run :
 (** [run ~advice g ~source factory] instantiates [factory] at every node
     with its advice/status/label/degree, lets the source (and, for
     broadcast schemes, everyone) transmit, and drives deliveries under the
-    scheduler (default [Async_fifo]) until quiescence or [max_messages]
-    (default [1_000_000]) sends.
+    scheduler (default [Async_fifo]) until quiescence or until more than
+    [max_messages] sends (default {!default_max_messages}[ ~retry g]).  A
+    run stopped by the cap reports [quiescent = false].
 
     A node becomes {e informed} when it is the source or when it receives a
     message sent by an informed node (the source message can always ride
@@ -141,6 +142,14 @@ val run :
     before the run — see [Fault.Corrupt]).
 
     Raises [Invalid_argument] if a scheme emits an out-of-range port. *)
+
+val default_max_messages : retry:int -> Netgraph.Graph.t -> int
+(** The message cap {!run} applies when [max_messages] is not given:
+    [max 1_000_000 ((retry + 1) · (4m + 3n))].  It scales with the
+    instance and is never below the fault verdict's [degraded + recovery]
+    budget ([Fault.Harness.budgets]), so the cap cannot stop a run the
+    verdict would still accept; the [1_000_000] floor keeps every
+    small-instance result as it was under the old fixed cap. *)
 
 val telemetry :
   protocol:string ->

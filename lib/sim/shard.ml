@@ -1,5 +1,6 @@
-(* Domain-sharded execution of a single synchronous run.  See shard.mli
-   for the contract; the short version of the determinism argument:
+(* The domain-sharded synchronous kernel and the rule that picks it.
+   See shard.mli for the contract; the short version of the determinism
+   argument (DESIGN.md §14 has the long one):
 
    - the node array is partitioned into [shards] contiguous blocks; a
      node's scheme state is only ever touched by its owner domain;
@@ -7,40 +8,24 @@
      — deliver (each owner processes the batch slots addressed to its
      nodes, {e in batch order}) then emit (responses are placed into the
      next batch at offsets precomputed by an exclusive prefix sum over
-     the per-slot response counts, which reproduces the sequential
-     engine's sequence-number assignment exactly);
+     the per-slot response counts, which is exactly the order the
+     sequential engine enqueues them in);
    - counters are per-domain {!Obs.Counting} instances merged with
-     [absorb] (sums and maxima — order-insensitive), and anything that
-     is inherently a global order (sink emission, the in-memory trace,
-     every fault-channel RNG draw, timer wheels) runs on the
-     coordinator domain only.
+     [absorb] (sums and maxima — order-insensitive).
 
-   The result is bit-identical to {!Runner.run} at every shard count;
-   the shard-determinism grid test compares traces and stats byte for
-   byte, faults included. *)
+   The result is bit-identical to {!Runner.run} at every shard count. *)
 
 module Graph = Netgraph.Graph
-
-type in_flight = {
-  f_src : int;
-  f_src_port : int;
-  f_dst : int;
-  f_dst_port : int;
-  f_msg : Message.t;
-  f_informed : bool;
-  f_seq : int;
-  f_depth : int;
-}
 
 let msg_class = function
   | Message.Source -> Obs.Event.Source
   | Message.Hello -> Obs.Event.Hello
   | Message.Control _ -> Obs.Event.Control
 
-let default_shards () =
-  match Sys.getenv_opt "ORACLE_SIZE_SHARDS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> max 1 n | None -> 1)
-  | None -> 1
+(* Phases (instantiation, start-up, and each round) with fewer slots than
+   this run inline on the coordinator — same arithmetic, no barrier
+   traffic — so small runs never pay for domains. *)
+let parallel_threshold = 256
 
 (* {1 The phase team}
 
@@ -137,738 +122,197 @@ let team_shutdown t =
     Array.iter Domain.join t.domains
   end
 
-(* {1 The sharded synchronous engine} *)
+(* {1 The kernel} *)
 
-let run ?(scheduler = Scheduler.Async_fifo) ?(max_messages = 1_000_000) ?(record_trace = false)
-    ?(sinks = []) ?loss ?(faults = Fault_plan.none) ?(retry = 0) ?(shards = 1)
-    ?(min_parallel_batch = 256) ~advice g ~source factory =
-  if shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
-  if min_parallel_batch < 1 then invalid_arg "Shard.run: min_parallel_batch must be >= 1";
-  if shards = 1 || scheduler <> Scheduler.Synchronous then
-    (* One shard is the sequential engine by definition, and the async
-       schedulers deliver one message at a time in a single global total
-       order — there is no round boundary to parallelise without
-       changing the delivery order, so they stay on the sequential
-       engine at any shard count (documented in DESIGN.md §14). *)
-    Runner.run ~scheduler ~max_messages ~record_trace ~sinks ?loss ~faults ~retry ~advice g
-      ~source factory
-  else begin
-    let n = Graph.n g in
-    if source < 0 || source >= n then invalid_arg "Shard.run: source out of range";
-    if retry < 0 then invalid_arg "Shard.run: negative retry budget";
-    let k = min shards 64 in
-    (* Contiguous block partition: node [v] belongs to shard [v / q];
-       phases below test ownership as a range check on [v]. *)
-    let q = (n + k - 1) / k in
-    let g_off = Graph.csr_offsets g in
-    let g_nbr = Graph.csr_neighbors g in
-    let g_prt = Graph.csr_ports g in
-    (* One counting state per shard; merged with [absorb] at the end.
-       The coordinator's own slot is [counts.(0)], which also receives
-       everything counted outside parallel phases. *)
-    let counts = Array.init k (fun _ -> Obs.Counting.create ()) in
-    let counts0 = counts.(0) in
-    let total_sent () = Array.fold_left (fun acc c -> acc + Obs.Counting.sent c) 0 counts in
-    let sinks_empty = sinks = [] in
-    let observe ev =
-      Obs.Counting.observe counts0 ev;
-      List.iter (fun s -> Obs.Sink.emit s ev) sinks
-    in
-    let seq = ref 0 in
-    let informed = Array.make n false in
-    let per_node_sent = Array.make n 0 in
-    let trace = ref [] in
-    (* The scheduler ring: same struct-of-arrays layout as the
-       sequential engine.  Growth happens only on the coordinator,
-       between parallel phases. *)
-    let cap = ref 256 in
-    let mask = ref (!cap - 1) in
-    let q_src = ref (Array.make !cap 0) in
-    let q_sport = ref (Array.make !cap 0) in
-    let q_dst = ref (Array.make !cap 0) in
-    let q_dport = ref (Array.make !cap 0) in
-    let q_seq = ref (Array.make !cap 0) in
-    let q_depth = ref (Array.make !cap 0) in
-    let q_msg = ref (Array.make !cap Message.Hello) in
-    let q_inf = ref (Bytes.make !cap '\000') in
-    let head = ref 0 in
-    let tail = ref 0 in
-    let ring_grow () =
-      let len = !tail - !head in
-      let ncap = 2 * !cap in
-      let nsrc = Array.make ncap 0
-      and nsport = Array.make ncap 0
-      and ndst = Array.make ncap 0
-      and ndport = Array.make ncap 0
-      and nseq = Array.make ncap 0
-      and ndepth = Array.make ncap 0
-      and nmsg = Array.make ncap Message.Hello
-      and ninf = Bytes.make ncap '\000' in
-      for i = 0 to len - 1 do
-        let j = (!head + i) land !mask in
-        nsrc.(i) <- !q_src.(j);
-        nsport.(i) <- !q_sport.(j);
-        ndst.(i) <- !q_dst.(j);
-        ndport.(i) <- !q_dport.(j);
-        nseq.(i) <- !q_seq.(j);
-        ndepth.(i) <- !q_depth.(j);
-        nmsg.(i) <- !q_msg.(j);
-        Bytes.set ninf i (Bytes.get !q_inf j)
-      done;
-      q_src := nsrc;
-      q_sport := nsport;
-      q_dst := ndst;
-      q_dport := ndport;
-      q_seq := nseq;
-      q_depth := ndepth;
-      q_msg := nmsg;
-      q_inf := ninf;
-      cap := ncap;
-      mask := ncap - 1;
-      head := 0;
-      tail := len
-    in
-    let ring_push ~src ~src_port ~dst ~dst_port ~msg ~inf ~sq ~depth =
-      if !tail - !head = !cap then ring_grow ();
-      let i = !tail land !mask in
-      Array.unsafe_set !q_src i src;
-      Array.unsafe_set !q_sport i src_port;
-      Array.unsafe_set !q_dst i dst;
-      Array.unsafe_set !q_dport i dst_port;
-      Array.unsafe_set !q_seq i sq;
-      Array.unsafe_set !q_depth i depth;
-      Array.unsafe_set !q_msg i msg;
-      Bytes.unsafe_set !q_inf i (if inf then '\001' else '\000');
-      incr tail
-    in
-    let push_fl fl =
-      ring_push ~src:fl.f_src ~src_port:fl.f_src_port ~dst:fl.f_dst ~dst_port:fl.f_dst_port
-        ~msg:fl.f_msg ~inf:fl.f_informed ~sq:fl.f_seq ~depth:fl.f_depth
-    in
-    (* Fault machinery: identical to the sequential engine, and
-       coordinator-only — every RNG draw, wheel operation and stage
-       mutation happens in the same global order as sequentially. *)
-    let loss_state =
-      match loss with
-      | None -> None
-      | Some (p, _) when p <= 0.0 -> None
-      | Some (p, lseed) ->
-        if p >= 1.0 then invalid_arg "Shard.run: loss probability must be < 1";
-        Some (p, Random.State.make [| lseed; 0x1055 |])
-    in
-    let lost () =
-      match loss_state with
-      | None -> false
-      | Some (p, st) -> Random.State.float st 1.0 < p
-    in
-    let plan = if Fault_plan.is_none faults then None else Some faults in
-    let failed = Bytes.make n '\000' in
-    let is_failed v = Bytes.unsafe_get failed v <> '\000' in
-    let drop_st = Random.State.make [| faults.Fault_plan.seed; 0xd09 |] in
-    let dup_st = Random.State.make [| faults.Fault_plan.seed; 0xd4b |] in
-    let delay_st = Random.State.make [| faults.Fault_plan.seed; 0xde1 |] in
-    let observe_fault ~sq round f =
-      if sinks_empty then Obs.Counting.note_fault counts0 ~round f
-      else observe { Obs.Event.seq = sq; round; kind = Obs.Event.Fault f }
-    in
-    let stage : in_flight list ref = ref [] in
-    let stage_len = ref 0 in
-    let flush_stage () =
-      List.iter push_fl !stage;
-      stage := [];
-      stage_len := 0
-    in
-    let stage_push round ev =
-      match plan with
-      | Some p when p.Fault_plan.reorder_every > 1 ->
-        stage := ev :: !stage;
-        incr stage_len;
-        if !stage_len >= p.Fault_plan.reorder_every then begin
-          observe_fault ~sq:ev.f_seq round (Obs.Event.Msg_reordered p.Fault_plan.reorder_every);
-          flush_stage ()
-        end
-      | _ -> push_fl ev
-    in
-    let delayed_w : in_flight Timer_wheel.t = Timer_wheel.create () in
-    let tick_delayed round = Timer_wheel.drain delayed_w ~now:round push_fl in
-    let recovery_w : (int * in_flight) Timer_wheel.t = Timer_wheel.create () in
-    let attempts = ref [||] in
-    let att_get s = if s < Array.length !attempts then !attempts.(s) else 0 in
-    let att_set s v =
-      if s >= Array.length !attempts then begin
-        let ncap = ref (max 64 (2 * Array.length !attempts)) in
-        while !ncap <= s do
-          ncap := 2 * !ncap
-        done;
-        let a = Array.make !ncap 0 in
-        Array.blit !attempts 0 a 0 (Array.length !attempts);
-        attempts := a
-      end;
-      !attempts.(s) <- v
-    in
-    let t_signalled = ref Bytes.empty in
-    let ts_get s = s < Bytes.length !t_signalled && Bytes.get !t_signalled s <> '\000' in
-    let ts_set s =
-      if s >= Bytes.length !t_signalled then begin
-        let ncap = ref (max 64 (2 * Bytes.length !t_signalled)) in
-        while !ncap <= s do
-          ncap := 2 * !ncap
-        done;
-        let b = Bytes.make !ncap '\000' in
-        Bytes.blit !t_signalled 0 b 0 (Bytes.length !t_signalled);
-        t_signalled := b
-      end;
-      Bytes.set !t_signalled s '\001'
-    in
-    let schedule_retransmit round fl =
-      if retry > 0 && not (Message.is_timeout fl.f_msg) then begin
-        let used = att_get fl.f_seq in
-        if used < retry then begin
-          att_set fl.f_seq (used + 1);
-          Timer_wheel.add recovery_w ~now:round ~due:(round + (1 lsl min used 16)) (used + 1, fl)
-        end
-      end
-    in
-    let schedule_timeout round ~src ~src_port ~dst ~dst_port ~msg ~sq ~depth =
-      if retry > 0 && (not (Message.is_timeout msg)) && not (ts_get sq) then begin
-        ts_set sq;
-        let used = att_get sq in
-        if used < retry then begin
-          att_set sq (used + 1);
-          Timer_wheel.add recovery_w ~now:round ~due:(round + 1)
-            ( used + 1,
-              {
-                f_src = dst;
-                f_src_port = dst_port;
-                f_dst = src;
-                f_dst_port = src_port;
-                f_msg = Message.timeout;
-                f_informed = false;
-                f_seq = sq;
-                f_depth = depth + 1;
-              } )
-        end
-      end
-    in
-    let signal_failure v round =
-      if retry > 0 then
-        List.iter
-          (fun (p, u, up) ->
-            if not (is_failed u) then
-              Timer_wheel.add recovery_w ~now:round ~due:(max 1 round)
-                ( 1,
-                  {
-                    f_src = v;
-                    f_src_port = p;
-                    f_dst = u;
-                    f_dst_port = up;
-                    f_msg = Message.timeout;
-                    f_informed = false;
-                    f_seq = 0;
-                    f_depth = 1;
-                  } ))
-          (Graph.neighbors g v)
-    in
-    let process_crashes step =
-      match plan with
-      | None -> ()
-      | Some p ->
-        List.iter
-          (fun (v, s) ->
-            if s = step && v >= 0 && v < n && not (is_failed v) then begin
-              Bytes.set failed v '\002';
-              observe_fault ~sq:!seq step (Obs.Event.Crashed v);
-              signal_failure v step
-            end)
-          p.Fault_plan.crashes
-    in
-    let inject round fl =
-      match plan with
-      | None -> push_fl fl
-      | Some p ->
-        let dropped = p.Fault_plan.drop > 0.0 && Random.State.float drop_st 1.0 < p.Fault_plan.drop in
-        let dup =
-          p.Fault_plan.duplicate > 0.0 && Random.State.float dup_st 1.0 < p.Fault_plan.duplicate
+let kernel ~shards ~max_messages ~advice g ~source factory =
+  if shards < 1 then invalid_arg "Shard.kernel: shards must be >= 1";
+  let n = Graph.n g in
+  if source < 0 || source >= n then invalid_arg "Shard.kernel: source out of range";
+  let k = shards in
+  (* Contiguous block partition: node [v] belongs to shard [v / q];
+     phases below test ownership as a range check on [v]. *)
+  let q = (n + k - 1) / k in
+  let g_off = Graph.csr_offsets g in
+  let g_nbr = Graph.csr_neighbors g in
+  let g_prt = Graph.csr_ports g in
+  let counts = Array.init k (fun _ -> Obs.Counting.create ()) in
+  let total_sent () = Array.fold_left (fun acc c -> acc + Obs.Counting.sent c) 0 counts in
+  let informed = Array.make n false in
+  let per_node_sent = Array.make n 0 in
+  (* Two batches, swapped every round: [cur] is being delivered, [nxt]
+     receives the round's sends.  Without delays every message of round
+     [r] was sent in round [r - 1], so a batch needs no depth column
+     (depth = round) and no ring: it is exactly one round's sends.
+     Sequence numbers and sources are not kept either — nothing in a
+     result without a trace reads them; the slot order alone carries the
+     sequential engine's send order. *)
+  let cur_dst = ref [||] and cur_port = ref [||] and cur_msg = ref [||] in
+  let cur_inf = ref Bytes.empty in
+  let nxt_dst = ref [||] and nxt_port = ref [||] and nxt_msg = ref [||] in
+  let nxt_inf = ref Bytes.empty in
+  let reserve_nxt len =
+    if Array.length !nxt_dst < len then begin
+      let c = max 256 (max len (2 * Array.length !nxt_dst)) in
+      nxt_dst := Array.make c 0;
+      nxt_port := Array.make c 0;
+      nxt_msg := Array.make c Message.Hello;
+      nxt_inf := Bytes.make c '\000'
+    end
+  in
+  let swap () =
+    let d = !cur_dst and p = !cur_port and m = !cur_msg and i = !cur_inf in
+    cur_dst := !nxt_dst;
+    cur_port := !nxt_port;
+    cur_msg := !nxt_msg;
+    cur_inf := !nxt_inf;
+    nxt_dst := d;
+    nxt_port := p;
+    nxt_msg := m;
+    nxt_inf := i
+  in
+  (* Per-slot responses of the batch being processed, with the
+     exclusive prefix sum of their counts; reused across rounds. *)
+  let resp = ref [||] and offs = ref [||] in
+  let reserve_resp len =
+    if Array.length !resp < len then begin
+      let c = max 256 (max len (2 * Array.length !resp)) in
+      resp := Array.make c [];
+      offs := Array.make (c + 1) 0
+    end
+  in
+  let team = ref None in
+  let run_phase ~size f =
+    if size >= parallel_threshold then begin
+      let t =
+        match !team with
+        | Some t -> t
+        | None ->
+          let t = team_create ~shards:k in
+          team := Some t;
+          t
+      in
+      team_phase t f
+    end
+    else
+      for s = 0 to k - 1 do
+        f s
+      done
+  in
+  (* Emit: slot [o] of a batch of [len] holds the sends [!resp.(o)] of
+     node [node o], and [!offs.(o + 1)] their count.  The prefix sum turns
+     the counts into offsets; each owner then writes its slots' sends into
+     [nxt] from offset [!offs.(o)] on, in send order. *)
+  let emit ~round ~len ~node =
+    let rs = !resp and os = !offs in
+    os.(0) <- 0;
+    for o = 0 to len - 1 do
+      os.(o + 1) <- os.(o) + os.(o + 1)
+    done;
+    let total = os.(len) in
+    reserve_nxt total;
+    let ndst = !nxt_dst and nport = !nxt_port and nmsg = !nxt_msg and ninf = !nxt_inf in
+    run_phase ~size:len (fun s ->
+        let lo = s * q and hi = min n ((s * q) + q) in
+        let c = counts.(s) in
+        let rec place v inf slot = function
+          | [] -> ()
+          | (msg, port) :: rest ->
+            let base = g_off.(v) in
+            if port < 0 || port >= g_off.(v + 1) - base then
+              invalid_arg
+                (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v
+                   (g_off.(v + 1) - base) port);
+            per_node_sent.(v) <- per_node_sent.(v) + 1;
+            Obs.Counting.note_send c ~round ~cls:(msg_class msg) ~bits:(Message.size_bits msg);
+            Array.unsafe_set ndst slot g_nbr.(base + port);
+            Array.unsafe_set nport slot g_prt.(base + port);
+            Array.unsafe_set nmsg slot msg;
+            Bytes.unsafe_set ninf slot (if inf then '\001' else '\000');
+            place v inf (slot + 1) rest
         in
-        let delay_by =
-          match p.Fault_plan.delay with
-          | Some (pr, mx) when Random.State.float delay_st 1.0 < pr ->
-            1 + Random.State.int delay_st (max 1 mx)
-          | Some _ | None -> 0
-        in
-        if dropped then begin
-          observe_fault ~sq:fl.f_seq round Obs.Event.Msg_dropped;
-          schedule_retransmit round fl
-        end
-        else begin
-          if delay_by > 0 then begin
-            observe_fault ~sq:fl.f_seq round (Obs.Event.Msg_delayed delay_by);
-            Timer_wheel.add delayed_w ~now:round ~due:(round + delay_by) fl
+        for o = 0 to len - 1 do
+          let v = node o in
+          if v >= lo && v < hi then begin
+            place v informed.(v) os.(o) rs.(o);
+            rs.(o) <- []
           end
-          else stage_push round fl;
-          if dup then begin
-            observe_fault ~sq:fl.f_seq round Obs.Event.Msg_duplicated;
-            stage_push round fl
-          end
-        end
-    in
-    let transmit round fl =
-      if lost () then begin
-        observe_fault ~sq:fl.f_seq round Obs.Event.Msg_dropped;
-        schedule_retransmit round fl
-      end
-      else inject round fl
-    in
-    let tick_recovery round =
-      Timer_wheel.drain recovery_w ~now:round (fun (attempt, fl) ->
-          let actor = if Message.is_timeout fl.f_msg then fl.f_dst else fl.f_src in
-          if not (is_failed actor) then begin
-            (if sinks_empty then Obs.Counting.note_retransmit counts0 ~round
-             else
-               observe
-                 {
-                   Obs.Event.seq = fl.f_seq;
-                   round;
-                   kind = Obs.Event.Recover (Obs.Event.Msg_retransmitted attempt);
-                 });
-            if Message.is_timeout fl.f_msg then push_fl fl else transmit round fl
-          end)
-    in
-    let fast_wire = plan = None && loss_state = None in
-    (* [fast]: no faults, no sinks, no trace — every per-slot effect is
-       commutative across shards (per-domain counters, owner-exclusive
-       node state), so both round phases run fully parallel.  Otherwise
-       only the scheme calls are parallel; events, counters, trace and
-       the fault machinery replay on the coordinator in slot order. *)
-    let fast = fast_wire && sinks_empty && not record_trace in
-    (* Sequential emission: the same walk as the sequential engine's
-       [emit], used for the start-up/fault/traced paths and for rounds
-       below the parallel threshold. *)
-    let rec seq_emit v round ~depth sends =
-      match sends with
-      | [] -> ()
-      | (msg, port) :: rest ->
-        let base = g_off.(v) in
-        if port < 0 || port >= g_off.(v + 1) - base then
-          invalid_arg
-            (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v
-               (g_off.(v + 1) - base) port);
-        let dst = g_nbr.(base + port) in
-        let dst_port = g_prt.(base + port) in
-        per_node_sent.(v) <- per_node_sent.(v) + 1;
-        let inf = informed.(v) in
-        (if sinks_empty then
-           Obs.Counting.note_send counts0 ~round ~cls:(msg_class msg) ~bits:(Message.size_bits msg)
-         else
-           observe
-             {
-               Obs.Event.seq = !seq;
-               round;
-               kind =
-                 Obs.Event.Send
-                   {
-                     Obs.Event.src = v;
-                     src_port = port;
-                     dst;
-                     dst_port;
-                     cls = msg_class msg;
-                     bits = Message.size_bits msg;
-                     informed = inf;
-                     depth;
-                   };
-             });
-        (if fast_wire then ring_push ~src:v ~src_port:port ~dst ~dst_port ~msg ~inf ~sq:!seq ~depth
-         else
-           transmit round
-             {
-               f_src = v;
-               f_src_port = port;
-               f_dst = dst;
-               f_dst_port = dst_port;
-               f_msg = msg;
-               f_informed = inf;
-               f_seq = !seq;
-               f_depth = depth;
-             });
-        incr seq;
-        seq_emit v round ~depth rest
-    in
-    let team = ref None in
-    let the_team () =
-      match !team with
-      | Some t -> t
-      | None ->
-        let t = team_create ~shards:k in
-        team := Some t;
-        t
-    in
-    let phase f = team_phase (the_team ()) f in
-    let finish () = match !team with Some t -> team_shutdown t | None -> () in
-    Fun.protect ~finally:finish (fun () ->
-        let silent = { Scheme.on_start = (fun () -> []); on_receive = (fun _ ~port:_ -> []) } in
-        let nodes = Array.make n silent in
-        (* Instantiation: parallel over blocks when only counters watch
-           (advice-read accounting is a per-shard sum).  With sinks
-           attached it stays sequential — the event stream is a global
-           order, and factories may carry caller side effects (the fault
-           harness's fallback/correction callbacks) that only the
-           sequential path may invoke. *)
-        (if sinks_empty then begin
-           let inst_block s =
-             let lo = s * q and hi = min n ((s * q) + q) in
-             let c = counts.(s) in
-             for v = lo to hi - 1 do
-               let a = advice v in
-               Obs.Counting.note_advice c ~round:0 ~bits:(Bitstring.Bitbuf.length a);
-               nodes.(v) <-
-                 factory
-                   {
-                     History.advice = a;
-                     is_source = v = source;
-                     id = Graph.label g v;
-                     degree = Graph.degree g v;
-                   }
-             done
-           in
-           if n >= min_parallel_batch then phase inst_block
-           else
-             for s = 0 to k - 1 do
-               inst_block s
-             done
-         end
-         else
-           for v = 0 to n - 1 do
-             let a = advice v in
-             observe
-               {
-                 Obs.Event.seq = 0;
-                 round = 0;
-                 kind = Obs.Event.Advice_read (v, Bitstring.Bitbuf.length a);
-               };
-             nodes.(v) <-
-               factory
-                 {
-                   History.advice = a;
-                   is_source = v = source;
-                   id = Graph.label g v;
-                   degree = Graph.degree g v;
-                 }
-           done);
-        informed.(source) <- true;
-        if sinks_empty then Obs.Counting.note_wake counts0 ~round:0
-        else observe { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Wake source };
-        (match plan with
-        | None -> ()
-        | Some p ->
-          List.iter
-            (fun v ->
-              if v >= 0 && v < n && v <> source && not (is_failed v) then begin
-                Bytes.set failed v '\001';
-                observe_fault ~sq:0 0 (Obs.Event.Dead v);
-                signal_failure v 0
-              end)
-            p.Fault_plan.dead);
-        process_crashes 0;
-        (* Start-up.  Scheme calls run on the owners; emission is either
-           a parallel placement at prefix-sum offsets (fast mode) or the
-           coordinator's sequential walk. *)
-        let starts = Array.make n [] in
-        let starts_block s =
+        done);
+    total
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter team_shutdown !team)
+    (fun () ->
+      let silent = { Scheme.on_start = (fun () -> []); on_receive = (fun _ ~port:_ -> []) } in
+      let nodes = Array.make n silent in
+      (* Instantiation and start-up: [advice], [factory] and [on_start]
+         run on the owners (advice-read accounting is a per-shard sum). *)
+      reserve_resp n;
+      run_phase ~size:n (fun s ->
+          let lo = s * q and hi = min n ((s * q) + q) in
+          let c = counts.(s) in
+          for v = lo to hi - 1 do
+            let a = advice v in
+            Obs.Counting.note_advice c ~round:0 ~bits:(Bitstring.Bitbuf.length a);
+            nodes.(v) <-
+              factory
+                {
+                  History.advice = a;
+                  is_source = v = source;
+                  id = Graph.label g v;
+                  degree = Graph.degree g v;
+                }
+          done);
+      informed.(source) <- true;
+      Obs.Counting.note_wake counts.(0) ~round:0;
+      run_phase ~size:n (fun s ->
           let lo = s * q and hi = min n ((s * q) + q) in
           for v = lo to hi - 1 do
-            if not (is_failed v) then starts.(v) <- nodes.(v).Scheme.on_start ()
-          done
-        in
-        if n >= min_parallel_batch then phase starts_block
-        else
-          for s = 0 to k - 1 do
-            starts_block s
-          done;
-        if fast && n >= min_parallel_batch then begin
-          let pfx = Array.make (n + 1) 0 in
-          for v = 0 to n - 1 do
-            pfx.(v + 1) <- pfx.(v) + List.length starts.(v)
-          done;
-          let total = pfx.(n) in
-          while !cap < !tail - !head + total do
-            ring_grow ()
-          done;
-          let tail0 = !tail and mask0 = !mask in
-          let dsrc = !q_src
-          and dsport = !q_sport
-          and ddst = !q_dst
-          and ddport = !q_dport
-          and dseq = !q_seq
-          and ddepth = !q_depth
-          and dmsg = !q_msg
-          and dinf = !q_inf in
-          let seq0 = !seq in
-          phase (fun s ->
-              let lo = s * q and hi = min n ((s * q) + q) in
-              let c = counts.(s) in
-              for v = lo to hi - 1 do
-                let inf = informed.(v) in
-                let slot = ref (tail0 + pfx.(v)) in
-                let sq = ref (seq0 + pfx.(v)) in
-                List.iter
-                  (fun (msg, port) ->
-                    let base = g_off.(v) in
-                    if port < 0 || port >= g_off.(v + 1) - base then
-                      invalid_arg
-                        (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v
-                           (g_off.(v + 1) - base) port);
-                    let dst = g_nbr.(base + port) in
-                    let dst_port = g_prt.(base + port) in
-                    per_node_sent.(v) <- per_node_sent.(v) + 1;
-                    Obs.Counting.note_send c ~round:0 ~cls:(msg_class msg)
-                      ~bits:(Message.size_bits msg);
-                    let i = !slot land mask0 in
-                    Array.unsafe_set dsrc i v;
-                    Array.unsafe_set dsport i port;
-                    Array.unsafe_set ddst i dst;
-                    Array.unsafe_set ddport i dst_port;
-                    Array.unsafe_set dseq i !sq;
-                    Array.unsafe_set ddepth i 1;
-                    Array.unsafe_set dmsg i msg;
-                    Bytes.unsafe_set dinf i (if inf then '\001' else '\000');
-                    incr slot;
-                    incr sq)
-                  starts.(v)
-              done);
-          tail := tail0 + total;
-          seq := seq0 + total
-        end
-        else
-          for v = 0 to n - 1 do
-            if not (is_failed v) then seq_emit v 0 ~depth:1 starts.(v)
-          done;
-        (* Per-slot response stash, reused across rounds. *)
-        let resp_cap = ref 0 in
-        let resp_v = ref [||] in
-        let resp_depth = ref [||] in
-        let resp_cnt = ref [||] in
-        let resp_sends : Scheme.send list array ref = ref [||] in
-        let ensure_resp b =
-          if b > !resp_cap then begin
-            let ncap = ref (max 256 (2 * !resp_cap)) in
-            while !ncap < b do
-              ncap := 2 * !ncap
-            done;
-            resp_v := Array.make !ncap 0;
-            resp_depth := Array.make !ncap 0;
-            resp_cnt := Array.make !ncap 0;
-            resp_sends := Array.make !ncap [];
-            resp_cap := !ncap
-          end
-        in
-        let wheels_empty () = Timer_wheel.is_empty delayed_w && Timer_wheel.is_empty recovery_w in
-        let rounds = ref 0 in
-        let cutoff = ref false in
-        let rec round_loop () =
-          let batch = !tail - !head in
-          if batch = 0 then begin
-            if !stage_len > 0 then begin
-              flush_stage ();
-              round_loop ()
-            end
-            else if not (wheels_empty ()) then begin
-              incr rounds;
-              process_crashes !rounds;
-              tick_delayed !rounds;
-              tick_recovery !rounds;
-              round_loop ()
-            end
-          end
-          else begin
-            incr rounds;
-            process_crashes !rounds;
-            tick_delayed !rounds;
-            tick_recovery !rounds;
-            let round = !rounds in
-            ensure_resp batch;
-            let head0 = !head and mask0 = !mask in
-            let dsrc = !q_src
-            and dsport = !q_sport
-            and ddst = !q_dst
-            and ddport = !q_dport
-            and dseq = !q_seq
-            and ddepth = !q_depth
-            and dmsg = !q_msg
-            and dinf = !q_inf in
-            let rv = !resp_v
-            and rd = !resp_depth
-            and rc = !resp_cnt
-            and rs = !resp_sends in
-            (* Deliver phase.  Owners scan the whole batch in slot order
-               and process the slots addressed to their nodes; a node
-               receiving twice in one round is handled by one owner in
-               slot order, so wake decisions match the sequential
-               engine's. *)
-            let deliver_block s =
-              let lo = s * q and hi_excl = min n ((s * q) + q) in
-              let c = counts.(s) in
-              for o = 0 to batch - 1 do
-                let i = (head0 + o) land mask0 in
-                let dst = Array.unsafe_get ddst i in
-                if dst >= lo && dst < hi_excl then begin
-                  let depth = Array.unsafe_get ddepth i in
-                  rv.(o) <- dst;
-                  rd.(o) <- depth;
-                  if is_failed dst then begin
-                    rs.(o) <- [];
-                    rc.(o) <- 0
-                  end
-                  else begin
-                    let msg = Array.unsafe_get dmsg i in
-                    let dst_port = Array.unsafe_get ddport i in
-                    (if fast then begin
-                       let inf = Bytes.unsafe_get dinf i <> '\000' in
-                       Obs.Counting.note_deliver c ~round ~depth;
-                       if inf && not informed.(dst) then begin
-                         informed.(dst) <- true;
-                         Obs.Counting.note_wake c ~round
-                       end
-                     end);
-                    let sends = nodes.(dst).Scheme.on_receive msg ~port:dst_port in
-                    rs.(o) <- sends;
-                    rc.(o) <- List.length sends
-                  end
-                end
-              done
-            in
-            if batch >= min_parallel_batch then phase deliver_block
-            else
-              for s = 0 to k - 1 do
-                deliver_block s
-              done;
-            (* Replay pass (traced/faulted only): events, counters,
-               informed/wake transitions, trace records and failed-
-               receiver handling, in exact slot order on the
-               coordinator. *)
-            if not fast then
-              for o = 0 to batch - 1 do
-                let i = (head0 + o) land mask0 in
-                let src = Array.unsafe_get dsrc i
-                and src_port = Array.unsafe_get dsport i
-                and dst = Array.unsafe_get ddst i
-                and dst_port = Array.unsafe_get ddport i
-                and sq = Array.unsafe_get dseq i
-                and depth = Array.unsafe_get ddepth i
-                and msg = Array.unsafe_get dmsg i
-                and inf = Bytes.unsafe_get dinf i <> '\000' in
-                if is_failed dst then begin
-                  observe_fault ~sq round Obs.Event.Msg_dropped;
-                  schedule_timeout round ~src ~src_port ~dst ~dst_port ~msg ~sq ~depth
-                end
-                else begin
-                  (if sinks_empty then Obs.Counting.note_deliver counts0 ~round ~depth
-                   else
-                     observe
-                       {
-                         Obs.Event.seq = sq;
-                         round;
-                         kind =
-                           Obs.Event.Deliver
-                             {
-                               Obs.Event.src;
-                               src_port;
-                               dst;
-                               dst_port;
-                               cls = msg_class msg;
-                               bits = Message.size_bits msg;
-                               informed = inf;
-                               depth;
-                             };
-                       });
-                  if inf && not informed.(dst) then begin
-                    informed.(dst) <- true;
-                    if sinks_empty then Obs.Counting.note_wake counts0 ~round
-                    else observe { Obs.Event.seq = sq; round; kind = Obs.Event.Wake dst }
-                  end;
-                  if record_trace then
-                    trace :=
-                      { Runner.src; src_port; dst; dst_port; msg; informed_sender = inf; round; seq = sq }
-                      :: !trace
-                end
-              done;
-            head := head0 + batch;
-            (* Emit phase: responses join the ring in slot order, then
-               send order — the sequence numbers a sequential run would
-               assign.  Fast mode places them in parallel at prefix-sum
-               offsets; otherwise the coordinator walks the slots
-               through the full fault machinery. *)
-            if fast && batch >= min_parallel_batch then begin
-              let offs = Array.make (batch + 1) 0 in
-              for o = 0 to batch - 1 do
-                offs.(o + 1) <- offs.(o) + rc.(o)
-              done;
-              let total = offs.(batch) in
-              while !cap < !tail - !head + total do
-                ring_grow ()
-              done;
-              let tail0 = !tail and emask = !mask in
-              let esrc = !q_src
-              and esport = !q_sport
-              and edst = !q_dst
-              and edport = !q_dport
-              and eseq = !q_seq
-              and edepth = !q_depth
-              and emsg = !q_msg
-              and einf = !q_inf in
-              let seq0 = !seq in
-              phase (fun s ->
-                  let lo = s * q and hi_excl = min n ((s * q) + q) in
-                  let c = counts.(s) in
-                  for o = 0 to batch - 1 do
-                    let v = rv.(o) in
-                    if v >= lo && v < hi_excl && rc.(o) > 0 then begin
-                      let depth = rd.(o) + 1 in
-                      let inf = informed.(v) in
-                      let slot = ref (tail0 + offs.(o)) in
-                      let sq = ref (seq0 + offs.(o)) in
-                      List.iter
-                        (fun (msg, port) ->
-                          let base = g_off.(v) in
-                          if port < 0 || port >= g_off.(v + 1) - base then
-                            invalid_arg
-                              (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v
-                                 (g_off.(v + 1) - base) port);
-                          let dst = g_nbr.(base + port) in
-                          let dst_port = g_prt.(base + port) in
-                          per_node_sent.(v) <- per_node_sent.(v) + 1;
-                          Obs.Counting.note_send c ~round ~cls:(msg_class msg)
-                            ~bits:(Message.size_bits msg);
-                          let i = !slot land emask in
-                          Array.unsafe_set esrc i v;
-                          Array.unsafe_set esport i port;
-                          Array.unsafe_set edst i dst;
-                          Array.unsafe_set edport i dst_port;
-                          Array.unsafe_set eseq i !sq;
-                          Array.unsafe_set edepth i depth;
-                          Array.unsafe_set emsg i msg;
-                          Bytes.unsafe_set einf i (if inf then '\001' else '\000');
-                          incr slot;
-                          incr sq)
-                        rs.(o);
-                      rs.(o) <- []
-                    end
-                  done);
-              tail := tail0 + total;
-              seq := seq0 + total
-            end
-            else
-              for o = 0 to batch - 1 do
-                seq_emit rv.(o) round ~depth:(rd.(o) + 1) rs.(o);
-                rs.(o) <- []
-              done;
-            if total_sent () > max_messages then cutoff := true else round_loop ()
-          end
-        in
-        round_loop ();
-        let merged = Obs.Counting.create () in
-        Array.iter (fun c -> Obs.Counting.absorb merged c) counts;
-        let c = Obs.Counting.summary merged in
-        let stats =
+            let sends = nodes.(v).Scheme.on_start () in
+            !resp.(v) <- sends;
+            !offs.(v + 1) <- List.length sends
+          done);
+      let len = ref (emit ~round:0 ~len:n ~node:Fun.id) in
+      swap ();
+      let round = ref 0 in
+      let cutoff = ref false in
+      while !len > 0 && not !cutoff do
+        incr round;
+        let round = !round and len0 = !len in
+        reserve_resp len0;
+        let dst = !cur_dst and port = !cur_port and msg = !cur_msg and inf = !cur_inf in
+        let rs = !resp and os = !offs in
+        (* Deliver: owners scan the whole batch in slot order and take the
+           slots addressed to their nodes; a node receiving twice in one
+           round is handled by one owner in slot order, so wake decisions
+           match the sequential engine's. *)
+        run_phase ~size:len0 (fun s ->
+            let lo = s * q and hi = min n ((s * q) + q) in
+            let c = counts.(s) in
+            for o = 0 to len0 - 1 do
+              let v = Array.unsafe_get dst o in
+              if v >= lo && v < hi then begin
+                Obs.Counting.note_deliver c ~round ~depth:round;
+                if Bytes.unsafe_get inf o <> '\000' && not informed.(v) then begin
+                  informed.(v) <- true;
+                  Obs.Counting.note_wake c ~round
+                end;
+                let sends =
+                  nodes.(v).Scheme.on_receive (Array.unsafe_get msg o)
+                    ~port:(Array.unsafe_get port o)
+                in
+                rs.(o) <- sends;
+                os.(o + 1) <- List.length sends
+              end
+            done);
+        len := emit ~round ~len:len0 ~node:(fun o -> Array.unsafe_get dst o);
+        swap ();
+        if total_sent () > max_messages then cutoff := true
+      done;
+      let merged = Obs.Counting.create () in
+      Array.iter (Obs.Counting.absorb merged) counts;
+      let c = Obs.Counting.summary merged in
+      {
+        Runner.stats =
           {
             Runner.sent = c.Obs.Counting.sent;
             source_sent = c.Obs.Counting.source_sent;
@@ -878,14 +322,30 @@ let run ?(scheduler = Scheduler.Async_fifo) ?(max_messages = 1_000_000) ?(record
             rounds = c.Obs.Counting.rounds;
             causal_depth = c.Obs.Counting.causal_depth;
             faults = c.Obs.Counting.faults;
-          }
-        in
-        {
-          Runner.stats;
-          informed;
-          all_informed = Array.for_all (fun b -> b) informed;
-          quiescent = not !cutoff;
-          deliveries = List.rev !trace;
-          per_node_sent;
-        })
-  end
+          };
+        informed;
+        all_informed = Array.for_all Fun.id informed;
+        quiescent = not !cutoff;
+        deliveries = [];
+        per_node_sent;
+      })
+
+(* {1 The selection rule} *)
+
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
+    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+  let k = Domain.recommended_domain_count () in
+  (* A negative [retry] is left to [Runner.run] to reject. *)
+  let lossless = match loss with None -> true | Some (p, _) -> p <= 0.0 in
+  if
+    scheduler = Scheduler.Synchronous
+    && sinks = [] && (not record_trace) && Fault_plan.is_none faults && lossless && retry >= 0
+    && Domain.is_main_domain () && k > 1
+  then
+    let max_messages =
+      Option.value max_messages ~default:(Runner.default_max_messages ~retry g)
+    in
+    kernel ~shards:k ~max_messages ~advice g ~source factory
+  else
+    Runner.run ~scheduler ?max_messages ~record_trace ~sinks ?loss ~faults ~retry ~advice g ~source
+      factory

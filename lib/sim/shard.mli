@@ -1,50 +1,21 @@
-(** Domain-sharded execution of a single run.
+(** Domain-sharded execution of a single synchronous run, chosen by the
+    engine.
 
-    [run] has the contract of {!Runner.run} plus a [?shards] knob: with
-    [shards > 1] and the {!Scheduler.Synchronous} scheduler, the node
-    array is partitioned into [shards] contiguous blocks and each round
-    of one run executes as two barrier-separated phases (deliver, then
-    emit) across that many OCaml domains.  The output — trace, stats,
-    verdict inputs, every sink event and its order — is bit-identical
-    to the sequential runner at any shard count; the shard-determinism
-    grid test asserts byte equality of JSONL traces across
-    [shards ∈ {1, 2, 7}], fault plans included.
+    {!run} has exactly the contract of {!Runner.run}.  It executes the
+    run with {!kernel} at [k = Domain.recommended_domain_count ()]
+    shards when all of these hold, and otherwise calls {!Runner.run}
+    unchanged:
+    - the scheduler is {!Scheduler.Synchronous} (the asynchronous
+      schedulers deliver one message at a time in a single global order,
+      with no round boundary to cut);
+    - there are no [sinks], no [record_trace], no fault plan and no
+      [loss] — anything that observes or perturbs a global order;
+    - the call runs on the main domain ([Domain.is_main_domain ()]), so a
+      run inside a {!Pool} task never spawns domains of its own;
+    - [k > 1].
 
-    How much runs in parallel depends on what the caller asked to
-    observe (DESIGN.md §14 spells out the model):
-
-    - {b fast} (no sinks, no trace, no faults, no loss): both phases of
-      every large round are fully parallel.  Deliveries commute because
-      a node's scheme state is owner-exclusive and counters are
-      per-domain {!Obs.Counting} states merged with [absorb]; sequence
-      numbers are assigned by an exclusive prefix sum over the batch, so
-      they match the sequential engine's exactly.
-    - {b traced} (sinks or trace, still fault-free): scheme calls run on
-      the owners; the coordinator then replays the batch in slot order
-      to emit events and build the trace — a global order cannot be
-      produced anywhere else.
-    - {b faulted} (a plan or [?loss]): scheme calls still run on the
-      owners, but every RNG draw, timer-wheel operation and reorder
-      stage mutation happens on the coordinator in the sequential
-      engine's order.
-
-    Rounds smaller than [?min_parallel_batch] (default 256) are
-    processed inline on the coordinator — same arithmetic, no barrier
-    traffic — so tiny runs never pay for domains; worker domains are
-    spawned lazily on the first large phase and joined before [run]
-    returns.  [shards = 1], and any asynchronous scheduler (whose
-    delivery order is a single global sequence with no round boundary to
-    cut), delegate to {!Runner.run} unchanged.  [shards] is clamped to
-    64; [invalid_arg] if it is not positive.
-
-    Concurrency requirements on the caller: with no sinks attached,
-    [advice] and [factory] are called in parallel from several domains
-    (at most once per node) and must be safe to call concurrently — the
-    built-in schemes only read shared immutable advice, which is safe.
-    With sinks attached, instantiation stays sequential (factories may
-    carry caller side effects, e.g. the fault harness's fallback
-    callbacks).  Scheme callbacks are only ever invoked by the owner of
-    their node, never two nodes of one owner concurrently. *)
+    Either way the result is bit-identical; only the wall time changes.
+    DESIGN.md §14 has the model and the determinism argument. *)
 
 val run :
   ?scheduler:Scheduler.t ->
@@ -54,15 +25,35 @@ val run :
   ?loss:float * int ->
   ?faults:Fault_plan.t ->
   ?retry:int ->
-  ?shards:int ->
-  ?min_parallel_batch:int ->
   advice:(int -> Bitstring.Bitbuf.t) ->
   Netgraph.Graph.t ->
   source:int ->
   Scheme.factory ->
   Runner.result
+(** {!Runner.run}, on {!kernel} when the selection rule above allows it.
+    The kernel applies the same cap, [max_messages] defaulting to
+    {!Runner.default_max_messages}. *)
 
-val default_shards : unit -> int
-(** The shard count used when the caller does not say: the
-    [ORACLE_SIZE_SHARDS] environment variable if set to a positive
-    integer, else 1 (sequential). *)
+val kernel :
+  shards:int ->
+  max_messages:int ->
+  advice:(int -> Bitstring.Bitbuf.t) ->
+  Netgraph.Graph.t ->
+  source:int ->
+  Scheme.factory ->
+  Runner.result
+(** [kernel ~shards ~max_messages ~advice g ~source factory] is
+    [Runner.run ~scheduler:Synchronous ~max_messages ~advice g ~source
+    factory] with the node array partitioned into [shards] contiguous
+    blocks, one per domain, and each round run as two barrier-separated
+    phases (deliver, then emit).  [deliveries] is always [[]].  Phases
+    with fewer than 256 slots run inline on the calling domain, so small
+    runs never spawn domains; the [shards - 1] worker domains are spawned
+    on the first larger phase and joined before [kernel] returns.
+    {!run} picks the shard count; the argument exists so tests can pin
+    it.  [invalid_arg] if [shards < 1] or [source] is out of range.
+
+    [advice], [factory] and the scheme callbacks are called from several
+    domains: each node's by its owner only, never two nodes of one owner
+    concurrently.  The built-in schemes only share immutable advice, which
+    is safe. *)

@@ -558,12 +558,12 @@ let test_verdict_cutoff_violates () =
   (* A run stopped by the message cutoff never drained: it must classify
      as a violation, not as a stalled-but-graceful run. *)
   (match
-     Fault.Verdict.classify ~quiescent:false ~n:3 ~budgets:(budgets ~clean:5 ~degraded:9 ())
+     Fault.Verdict.classify ~cutoff:9 ~n:3 ~budgets:(budgets ~clean:5 ~degraded:9 ())
        clean_stream
    with
   | Fault.Verdict.Violated reason ->
-    check_bool "reason names the cutoff" true
-      (String.length reason >= 14 && String.sub reason 0 14 = "message-cutoff")
+    check_string "reason names the count and the cap"
+      "message-cutoff: cut off at 1 messages (cap 9), queue not drained" reason
   | v -> Alcotest.failf "expected cutoff violation, got %s" (Fault.Verdict.to_string v));
   (* end to end: a tiny max_messages forces the cutoff *)
   let o = Fault.Harness.run ~max_messages:3 Fault.Harness.Broadcast (tree24 ()) ~source:0 in

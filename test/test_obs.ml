@@ -232,12 +232,15 @@ let test_registry_private () =
   Obs.Registry.clear r;
   check_int "cleared" 0 (Obs.Registry.length r)
 
-let test_registry_default_autonotes () =
-  Obs.Registry.clear Obs.Registry.default;
+let test_registry_only_when_given () =
+  (* There is no process-global registry: a run without [?registry]
+     notes nowhere, and one with it notes exactly its own record. *)
+  let r = Obs.Registry.create () in
   let g = Families.build Families.Random_tree ~n:12 ~seed:9 in
   let _ = Wakeup.run g ~source:0 in
-  check_int "default registry noted" 1 (Obs.Registry.length Obs.Registry.default);
-  Obs.Registry.clear Obs.Registry.default
+  check_int "nothing noted without a registry" 0 (Obs.Registry.length r);
+  let _ = Wakeup.run ~registry:r g ~source:0 in
+  check_int "one record when given" 1 (Obs.Registry.length r)
 
 (* {1 Offline replay} *)
 
@@ -384,7 +387,7 @@ let suite =
     Alcotest.test_case "ring under capacity" `Quick test_ring_under_capacity;
     Alcotest.test_case "csv has 13 columns" `Quick test_csv_rows_have_thirteen_columns;
     Alcotest.test_case "private registry" `Quick test_registry_private;
-    Alcotest.test_case "default registry auto-notes" `Quick test_registry_default_autonotes;
+    Alcotest.test_case "registry noted only when given" `Quick test_registry_only_when_given;
     Alcotest.test_case "replay = live run" `Quick test_replay_matches_live_run;
     Alcotest.test_case "replay through jsonl artifact" `Quick test_replay_through_jsonl_artifact;
     Alcotest.test_case "replay decisions" `Quick test_replay_decisions;

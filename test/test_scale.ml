@@ -72,6 +72,20 @@ let test_broadcast_100k () =
   check_int "n-1 source messages" (n - 1) r.Sim.Runner.stats.Sim.Runner.source_sent;
   check_bool "< 3n messages" true (r.Sim.Runner.stats.Sim.Runner.sent < 3 * n)
 
+let test_broadcast_path_600k () =
+  (* Just above the old fixed cap of 10^6 messages: Scheme B on a path
+     sends about 2n, so a cap that did not scale with the instance cut
+     this run off with most of the path uninformed. *)
+  let n = 600_000 in
+  let g = Netgraph.Gen.path n in
+  let o = Broadcast.run g ~source:0 in
+  let r = o.Broadcast.result in
+  check_bool "quiescent" true r.Sim.Runner.quiescent;
+  check_bool "informed" true r.Sim.Runner.all_informed;
+  check_int "n-1 source messages" (n - 1) r.Sim.Runner.stats.Sim.Runner.source_sent;
+  check_bool "past the old cap" true (r.Sim.Runner.stats.Sim.Runner.sent > 1_000_000);
+  check_bool "< 3n messages" true (r.Sim.Runner.stats.Sim.Runner.sent < 3 * n)
+
 let test_untraced_bit_identical () =
   (* The allocation-free path is an observer choice, not a semantics
      choice: with [record_trace:false] and no sinks the runner takes its
@@ -148,5 +162,7 @@ let suite =
     Alcotest.test_case "separation at n=2048" `Slow test_separation_2048;
     Alcotest.test_case "wakeup at n=10^5" `Slow test_wakeup_100k;
     Alcotest.test_case "broadcast at n=10^5" `Slow test_broadcast_100k;
+    Alcotest.test_case "path broadcast at n=6*10^5 under the default cap" `Slow
+      test_broadcast_path_600k;
     Alcotest.test_case "untraced = traced, bit-identical" `Slow test_untraced_bit_identical;
   ]
