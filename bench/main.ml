@@ -1313,8 +1313,38 @@ let micro () =
     Edge_discovery.sample_instances ~n:10 ~x_size:3 ~excluded:[] ~count:200
       (Random.State.make [| seed |])
   in
+  (* The frame codec, once per sweep point on each side of a worker
+     pipe and again for the journal record: a degraded sweep-tiny entry. *)
+  let entry =
+    {
+      Sim.Journal.n = 16;
+      m = 40;
+      messages = 29;
+      rounds = 29;
+      advice_bits = 30;
+      raw_advice_bits = 30;
+      faults = 5;
+      fallbacks = 0;
+      tampered = 0;
+      retransmits = 5;
+      corrected_bits = 0;
+      informed = 16;
+      verdict_class = Sim.Journal.Degraded;
+      verdict = "degraded: retransmissions(5)";
+    }
+  in
+  let result = Sim.Worker.Result { index = 30000; result = Ok entry } in
+  let result_frame = Sim.Worker.encode result in
   let tests =
     [
+      Test.make ~name:"worker encode Result" (Staged.stage (fun () -> Sim.Worker.encode result));
+      Test.make ~name:"frame decode + worker parse"
+        (Staged.stage (fun () ->
+             match Bitstring.Frame.decode result_frame ~pos:0 with
+             | Ok (f, _) -> Sim.Worker.parse f
+             | Error e -> failwith (Bitstring.Frame.error_to_string e)));
+      Test.make ~name:"journal encode_entry"
+        (Staged.stage (fun () -> Sim.Journal.encode_entry ~key:1597188801640729951 entry));
       Test.make ~name:"light-tree n=256" (Staged.stage (fun () -> Spanning.light g ~root:0));
       Test.make ~name:"bfs-tree n=256" (Staged.stage (fun () -> Spanning.bfs g ~root:0));
       Test.make ~name:"wakeup-oracle+run n=256" (Staged.stage (fun () -> Wakeup.run g ~source:0));

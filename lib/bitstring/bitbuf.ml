@@ -34,25 +34,62 @@ let add_bit t b =
 
 let add_bits t bits = List.iter (add_bit t) bits
 
+(* Word-wise: write up to 8 bits per byte access, the mirror of
+   [read_int].  Bits at or beyond [len] are zero, so OR-ing each chunk
+   into place is enough. *)
 let add_int t ~width v =
   if width < 0 then invalid_arg "Bitbuf.add_int: negative width";
   if v < 0 then invalid_arg "Bitbuf.add_int: negative value";
   if width < Sys.int_size && v lsr width <> 0 then
     invalid_arg "Bitbuf.add_int: value does not fit in width";
   ensure t width;
-  for i = width - 1 downto 0 do
-    add_bit t (v lsr i land 1 = 1)
-  done
+  let data = t.data in
+  (* A non-negative int has at most [Sys.int_size - 1] significant bits;
+     any wider field starts with zeros that are already in place. *)
+  let rem = ref (min width (Sys.int_size - 1)) in
+  let c = ref (t.len + width - !rem) in
+  while !rem > 0 do
+    let off = !c land 7 in
+    let avail = 8 - off in
+    let take = if !rem < avail then !rem else avail in
+    let chunk = (v lsr (!rem - take)) land ((1 lsl take) - 1) in
+    let i = !c lsr 3 in
+    Bytes.unsafe_set data i
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get data i) lor (chunk lsl (avail - take))));
+    c := !c + take;
+    rem := !rem - take
+  done;
+  t.len <- t.len + width
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Bitbuf.get: index out of range";
   unsafe_get t.data i
 
+(* Append [bits] bits packed MSB-first from byte 0 of [src], whose bits
+   at or beyond [bits] must be zero: each source byte is split across
+   two destination bytes (the second part is empty when [t] ends on a
+   byte boundary). *)
+let add_packed t src bits =
+  ensure t bits;
+  let data = t.data in
+  let j = t.len lsr 3 in
+  let d = t.len land 7 in
+  let nbytes = (bits + 7) / 8 in
+  for k = 0 to nbytes - 1 do
+    let s = Char.code (Bytes.unsafe_get src k) in
+    let i = j + k in
+    Bytes.unsafe_set data i (Char.unsafe_chr (Char.code (Bytes.unsafe_get data i) lor (s lsr d)));
+    (* Nonzero low bits are real bits, so byte [i + 1] is in range. *)
+    let low = (s lsl (8 - d)) land 0xff in
+    if low <> 0 then Bytes.set data (i + 1) (Char.unsafe_chr low)
+  done;
+  t.len <- t.len + bits
+
 let append dst src =
-  ensure dst src.len;
-  for i = 0 to src.len - 1 do
-    add_bit dst (unsafe_get src.data i)
-  done
+  let src = if src == dst then { data = Bytes.copy src.data; len = src.len } else src in
+  add_packed dst src.data src.len
+
+let add_string t s = add_packed t (Bytes.unsafe_of_string s) (8 * String.length s)
 
 let copy t =
   let data = Bytes.copy t.data in
@@ -89,9 +126,10 @@ let byte_length t = (t.len + 7) / 8
 
 (* Sound because the buffer's representation invariant says every bit of
    [data] at or beyond [len] is zero: [create]/[ensure] allocate zeroed
-   bytes, [add_bit] only ever sets the bit at [len], and nothing clears
-   [len] back.  The trailing pad of the last byte is therefore always
-   zero, which is exactly what the frame format requires of it. *)
+   bytes, the writers only ever set bits at or beyond the old [len] and
+   below the new one, and nothing clears [len] back.  The trailing pad
+   of the last byte is therefore always zero, which is exactly what the
+   frame format requires of it. *)
 let to_bytes t = Bytes.sub t.data 0 (byte_length t)
 
 let of_bytes b ~pos ~bits =
@@ -146,6 +184,11 @@ let read_int r ~width =
   done;
   r.cursor <- !c;
   !acc
+
+let read_string r n =
+  if n < 0 then invalid_arg "Bitbuf.read_string: negative length";
+  if r.cursor + (8 * n) > r.buf.len then raise End_of_bits;
+  String.init n (fun _ -> Char.unsafe_chr (read_int r ~width:8))
 
 let remaining r = r.buf.len - r.cursor
 

@@ -28,11 +28,16 @@ val add_bits : t -> bool list -> unit
 
 val add_int : t -> width:int -> int -> unit
 (** [add_int t ~width v] appends the [width] low-order bits of [v],
-    most significant first.  Raises [Invalid_argument] if [v] does not fit
+    most significant first, writing up to 8 bits per byte access.  Raises [Invalid_argument] if [v] does not fit
     in [width] bits, if [v < 0], or if [width < 0]. *)
 
 val append : t -> t -> unit
-(** [append dst src] appends all bits of [src] to [dst]. *)
+(** [append dst src] appends all bits of [src] to [dst], a byte at a
+    time. *)
+
+val add_string : t -> string -> unit
+(** [add_string t s] appends the bytes of [s], each as 8 bits MSB-first
+    — the same bits as one [add_int ~width:8] per character. *)
 
 val get : t -> int -> bool
 (** [get t i] is the [i]-th bit (0-based).  Raises [Invalid_argument] when
@@ -93,6 +98,11 @@ val read_bit : reader -> bool
 val read_int : reader -> width:int -> int
 (** Consume [width] bits as an MSB-first integer.
     @raise End_of_bits if fewer than [width] bits remain. *)
+
+val read_string : reader -> int -> string
+(** [read_string r n] consumes [8n] bits as [n] bytes, the inverse of
+    {!add_string}.  @raise End_of_bits if fewer than [8n] bits remain;
+    raises [Invalid_argument] when [n < 0]. *)
 
 val remaining : reader -> int
 (** Bits left to read. *)

@@ -38,9 +38,10 @@ let check_rep k =
    bits, initialised to zero, reduced by [poly] whenever a set bit falls
    off the top, with [width] flushing zero bits appended by [crc_finish]
    (the "augmented message" formulation — no reflection, no final XOR).
-   This one engine backs both the 8-bit advice CRC below and the 32-bit
-   frame trailer of {!Frame} — the journal's record framing reuses the
-   exact code path the advice layer already trusts. *)
+   It computes the 8-bit advice CRC below, one bit at a time, and it
+   defines the 32-bit frame trailer of {!Frame}: Frame fills a 256-entry
+   byte table by running this engine over every byte value, then walks
+   frames a byte at a time with the same result. *)
 
 let crc_update ~poly ~width reg b =
   let mask = (1 lsl width) - 1 in
@@ -61,9 +62,12 @@ let crc_finish ~poly ~width reg =
    codes produce (well under the 2^8 burst horizon for odd counts). *)
 let crc_width = 8
 
-let crc8 bits =
-  List.fold_left (crc_update ~poly:0x07 ~width:crc_width) 0 bits
-  |> crc_finish ~poly:0x07 ~width:crc_width
+let crc8 b =
+  let reg = ref 0 in
+  for i = 0 to Bitbuf.length b - 1 do
+    reg := crc_update ~poly:0x07 ~width:crc_width !reg (Bitbuf.get b i)
+  done;
+  crc_finish ~poly:0x07 ~width:crc_width !reg
 
 (* Hamming SEC: parity bits live at the power-of-two positions of the
    1-indexed codeword; parity bit p covers every position whose index
@@ -102,10 +106,7 @@ let protect level (b : Bitbuf.t) =
     | Raw -> Bitbuf.copy b
     | Crc ->
         let out = Bitbuf.copy b in
-        let c = crc8 (Bitbuf.to_bits b) in
-        for i = crc_width - 1 downto 0 do
-          Bitbuf.add_bit out ((c lsr i) land 1 = 1)
-        done;
+        Bitbuf.add_int out ~width:crc_width (crc8 b);
         out
     | Hamming ->
         let m = Bitbuf.length b in
@@ -162,7 +163,7 @@ let unprotect level (b : Bitbuf.t) =
           for i = m to len - 1 do
             stored := (!stored lsl 1) lor (if Bitbuf.get b i then 1 else 0)
           done;
-          if crc8 (Bitbuf.to_bits payload) = !stored then Ok (payload, 0)
+          if crc8 payload = !stored then Ok (payload, 0)
           else Error "crc: checksum mismatch"
     | Hamming ->
         (* r is a function of the codeword length; reject lengths that no

@@ -65,9 +65,10 @@ val overhead_bound : level -> float
 
 (** {1 The bit-serial CRC engine}
 
-    The shift-register CRC behind the [Crc] level, exposed so other
-    on-disk formats ({!Frame}'s 32-bit record trailer in particular)
-    compute their checksums through the same code path.  The variant is
+    The shift-register CRC behind the [Crc] level, exposed because it
+    is also the definition of {!Frame}'s 32-bit trailer: Frame builds
+    its byte-at-a-time table with this engine, and the tests check the
+    table against it.  The variant is
     fixed: MSB-first, initial register zero, the message augmented with
     [width] flushing zero bits, no reflection and no final XOR — an
      8-bit/[0x07] instance of this engine is bit-for-bit the advice CRC

@@ -4,7 +4,8 @@
     A journal file — and a supervisor/worker pipe — is a sequence of
     frames; each frame carries a kind tag, a format version, a 63-bit
     key and an arbitrary bit-string payload, and is protected end-to-end
-    by a 32-bit CRC trailer computed through {!Ecc}'s bit-serial engine.
+    by a 32-bit CRC trailer whose value {!Ecc}'s bit-serial engine
+    defines (a byte-wise table computes it).
     The byte-level layout — field widths, endianness, CRC variant,
     padding and recovery rules — is specified normatively in
     [docs/JOURNAL_FORMAT.md]; this module is its implementation, and a
@@ -67,6 +68,14 @@ val decode : string -> pos:int -> (t * int, error) result
     every malformed input maps to an {!error}.  Raises
     [Invalid_argument] only on a negative [pos]. *)
 
+val decode_bytes : Bytes.t -> pos:int -> stop:int -> (t * int, error) result
+(** [decode_bytes b ~pos ~stop] is {!decode} over the bytes of [b] from
+    [pos] up to, not including, [stop]: bytes at or past [stop] are
+    never read, and a frame that runs past it is [Truncated].  Only the
+    payload is copied out, so a stream reader can decode frame after
+    frame in place.  Raises [Invalid_argument] on a negative [pos] or a
+    [stop] past the end of [b]. *)
+
 val byte_size : t -> int
 (** The exact length of [encode t]: 15 header bytes, the payload padded
     to a byte boundary, and the 4-byte CRC trailer. *)
@@ -96,8 +105,12 @@ val max_key : int
 (** [max_int]: keys are arbitrary non-negative OCaml ints. *)
 
 val crc32_bytes : Bytes.t -> pos:int -> len:int -> int
-(** The spec's CRC-32 over a byte range: generator [0x04C11DB7] fed
-    MSB-first through {!Ecc.crc_update} from a zero register, augmented
-    with 32 flushing zero bits, no reflection, no final XOR.
+(** The spec's CRC-32 over a byte range.  Its value is defined by the
+    bit-serial engine: generator [0x04C11DB7] fed MSB-first through
+    {!Ecc.crc_update} from a zero register, augmented with 32 flushing
+    zero bits ({!Ecc.crc_finish}), no reflection, no final XOR.
     Deliberately {e not} the zlib/IEEE CRC — the journal format defines
-    this exact variant. *)
+    this exact variant.  It is computed a byte at a time from a
+    256-entry table that the engine itself fills, which gives the same
+    value.  Raises [Invalid_argument] when the range falls outside the
+    buffer. *)

@@ -81,16 +81,18 @@ let encode_payload e =
   count e.informed;
   Bitbuf.add_int b ~width:w_class (class_code e.verdict_class);
   Bitbuf.add_int b ~width:w_verdict_len (String.length e.verdict);
-  String.iter (fun c -> Bitbuf.add_int b ~width:8 (Char.code c)) e.verdict;
+  Bitbuf.add_string b e.verdict;
   b
 
-let decode_payload payload =
-  if Bitbuf.length payload < fixed_payload_bits then
+(* Both payload decoders read from a reader's position to the end of
+   its buffer, so a wire frame that carries a payload after a tag bit
+   decodes it in place. *)
+let read_payload r =
+  if Bitbuf.remaining r < fixed_payload_bits then
     Error
       (Printf.sprintf "record payload too short: %d bits < %d fixed bits"
-         (Bitbuf.length payload) fixed_payload_bits)
+         (Bitbuf.remaining r) fixed_payload_bits)
   else begin
-    let r = Bitbuf.reader payload in
     let count () = Bitbuf.read_int r ~width:w_count in
     let volume () = Bitbuf.read_int r ~width:w_volume in
     let n = count () in
@@ -112,7 +114,7 @@ let decode_payload payload =
         (Printf.sprintf "record payload length mismatch: %d bits left for a %d-byte verdict"
            (Bitbuf.remaining r) vlen)
     else begin
-      let verdict = String.init vlen (fun _ -> Char.chr (Bitbuf.read_int r ~width:8)) in
+      let verdict = Bitbuf.read_string r vlen in
       Ok
         {
           n;
@@ -155,18 +157,16 @@ let encode_context ctx =
   in
   let str s =
     Bitbuf.add_int b ~width:w_ctx_len (String.length s);
-    String.iter (fun c -> Bitbuf.add_int b ~width:8 (Char.code c)) s
+    Bitbuf.add_string b s
   in
   str ctx.spec;
   str ctx.extra;
   b
 
-let decode_context payload =
-  let r = Bitbuf.reader payload in
+let read_context r =
   let str () =
     let len = Bitbuf.read_int r ~width:w_ctx_len in
-    if Bitbuf.remaining r < 8 * len then failwith "short"
-    else String.init len (fun _ -> Char.chr (Bitbuf.read_int r ~width:8))
+    Bitbuf.read_string r len
   in
   match
     let spec = str () in
@@ -175,7 +175,7 @@ let decode_context payload =
   with
   | Some ctx -> Ok ctx
   | None -> Error "superblock payload has trailing bits"
-  | exception _ -> Error "superblock payload too short"
+  | exception Bitbuf.End_of_bits -> Error "superblock payload too short"
 
 let encode_superblock ctx =
   Frame.encode
@@ -238,7 +238,7 @@ let scan data =
       (* Wire-only kinds are never valid in a journal file. *)
       Error "superblock: first frame is a wire frame, not a superblock"
   | Ok ({ Frame.kind = Superblock; payload; _ }, first) -> (
-      match decode_context payload with
+      match read_context (Bitbuf.reader payload) with
       | Error e -> Error (Printf.sprintf "superblock: %s" e)
       | Ok ctx ->
           let index = Hashtbl.create 256 in
@@ -253,7 +253,7 @@ let scan data =
                 ->
                   pos (* corruption: only record frames may follow the superblock *)
               | Ok ({ Frame.kind = Record; key; payload; _ }, next) -> (
-                  match decode_payload payload with
+                  match read_payload (Bitbuf.reader payload) with
                   | Error _ -> pos
                   | Ok entry ->
                       if Hashtbl.mem index key then incr duplicates

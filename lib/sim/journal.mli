@@ -129,23 +129,26 @@ val encode_entry : key:int -> entry -> string
 
 val entry_payload : entry -> Bitstring.Bitbuf.t
 (** The bare record payload bits of {!encode_entry} — what a worker's
-    [Result] wire frame carries ({!Worker}); [decode_payload] inverts
+    [Result] wire frame carries ({!Worker}); {!read_payload} inverts
     it. *)
 
 val context_payload : context -> Bitstring.Bitbuf.t
 (** The bare superblock payload bits of {!encode_superblock} — what the
-    supervisor's config [Hello] wire frame carries; [decode_context]
+    supervisor's config [Hello] wire frame carries; {!read_context}
     inverts it. *)
-
-val decode_payload : Bitstring.Bitbuf.t -> (entry, string) result
-(** Decode a record frame's payload bits; rejects payloads whose length
-    disagrees with the spec's layout. *)
 
 val encode_superblock : context -> string
 (** The superblock frame for a fresh journal. *)
 
-val decode_context : Bitstring.Bitbuf.t -> (context, string) result
-(** Decode a superblock frame's payload bits. *)
+val read_payload : Bitstring.Bitbuf.reader -> (entry, string) result
+(** Decode a record payload from the reader's position to the end of
+    its buffer; rejects payloads whose length disagrees with the spec's
+    layout.  Reading in place lets a wire frame that carries a record
+    payload after a tag bit decode it without copying it out. *)
+
+val read_context : Bitstring.Bitbuf.reader -> (context, string) result
+(** Decode a superblock payload from the reader's position to the end
+    of its buffer. *)
 
 val fixed_payload_bits : int
 (** The spec'd size of a record payload before the verdict bytes: 434

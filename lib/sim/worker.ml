@@ -70,7 +70,7 @@ let frame_of_msg = function
     Bitbuf.add_bit b false;
     Bitbuf.add_int b ~width:8 v;
     Bitbuf.add_int b ~width:16 (String.length auth);
-    String.iter (fun c -> Bitbuf.add_int b ~width:8 (Char.code c)) auth;
+    Bitbuf.add_string b auth;
     frame Frame.Hello worker b
   | Config ctx ->
     let ctx_bits = Journal.context_payload ctx in
@@ -84,19 +84,18 @@ let frame_of_msg = function
     Bitbuf.add_int b ~width:16 (Array.length indices);
     Array.iter (fun i -> Bitbuf.add_int b ~width:32 i) indices;
     frame Frame.Task seq b
-  | Result { index; result } ->
-    let b = Bitbuf.create () in
-    (match result with
-    | Ok entry ->
-      Bitbuf.add_bit b true;
-      Bitbuf.append b (Journal.entry_payload entry)
-    | Error msg ->
-      let msg =
-        if String.length msg > 0xffff then String.sub msg 0 0xffff else msg
-      in
-      Bitbuf.add_bit b false;
-      Bitbuf.add_int b ~width:16 (String.length msg);
-      String.iter (fun c -> Bitbuf.add_int b ~width:8 (Char.code c)) msg);
+  | Result { index; result = Ok entry } ->
+    let entry_bits = Journal.entry_payload entry in
+    let b = Bitbuf.create ~capacity:(1 + Bitbuf.length entry_bits) () in
+    Bitbuf.add_bit b true;
+    Bitbuf.append b entry_bits;
+    frame Frame.Result index b
+  | Result { index; result = Error msg } ->
+    let msg = if String.length msg > 0xffff then String.sub msg 0 0xffff else msg in
+    let b = Bitbuf.create ~capacity:(17 + (8 * String.length msg)) () in
+    Bitbuf.add_bit b false;
+    Bitbuf.add_int b ~width:16 (String.length msg);
+    Bitbuf.add_string b msg;
     frame Frame.Result index b
   | Heartbeat { worker; count } ->
     let b = Bitbuf.create ~capacity:32 () in
@@ -106,15 +105,6 @@ let frame_of_msg = function
 
 let encode msg = Frame.encode (frame_of_msg msg)
 
-(* Re-pack the unread remainder of [r] so downstream decoders see a
-   payload of exactly the embedded value's length. *)
-let repack r ~bits =
-  let rest = Bitbuf.create ~capacity:bits () in
-  while not (Bitbuf.at_end r) do
-    Bitbuf.add_bit rest (Bitbuf.read_bit r)
-  done;
-  rest
-
 let parse (f : Frame.t) =
   let bits = Bitbuf.length f.payload in
   match f.kind with
@@ -123,7 +113,7 @@ let parse (f : Frame.t) =
     else
       let r = Bitbuf.reader f.payload in
       if Bitbuf.read_bit r then (
-        match Journal.decode_context (repack r ~bits:(bits - 1)) with
+        match Journal.read_context r with
         | Ok ctx -> Ok (Config ctx)
         | Error e -> Error (Printf.sprintf "config hello: %s" e))
       else if bits < 25 then Error "announce hello: payload shorter than its fixed fields"
@@ -133,7 +123,7 @@ let parse (f : Frame.t) =
         if bits <> 25 + (8 * len) then
           Error "announce hello: token length disagrees with payload"
         else
-          let auth = String.init len (fun _ -> Char.chr (Bitbuf.read_int r ~width:8)) in
+          let auth = Bitbuf.read_string r len in
           Ok (Hello { worker = f.key; wire_version = v; auth })
   | Frame.Task ->
     let r = Bitbuf.reader f.payload in
@@ -150,7 +140,7 @@ let parse (f : Frame.t) =
     else
       let r = Bitbuf.reader f.payload in
       if Bitbuf.read_bit r then begin
-        match Journal.decode_payload (repack r ~bits:(bits - 1)) with
+        match Journal.read_payload r with
         | Ok entry -> Ok (Result { index = f.key; result = Ok entry })
         | Error e -> Error (Printf.sprintf "result: %s" e)
       end
@@ -159,7 +149,7 @@ let parse (f : Frame.t) =
         let len = Bitbuf.read_int r ~width:16 in
         if bits <> 17 + (8 * len) then Error "result: error length disagrees with payload"
         else
-          let msg = String.init len (fun _ -> Char.chr (Bitbuf.read_int r ~width:8)) in
+          let msg = Bitbuf.read_string r len in
           Ok (Result { index = f.key; result = Error msg })
   | Frame.Heartbeat ->
     if bits <> 32 then Error "heartbeat: payload is not 32 bits"
@@ -177,38 +167,64 @@ let parse (f : Frame.t) =
    trickled TCP link delivers one byte per read.  Rx buffers fed bytes
    and peels complete frames off the front; Truncated means "feed me
    more", every other decode error is fatal for the stream (crash-stop:
-   one bad byte writes the peer off). *)
+   one bad byte writes the peer off).
+
+   Frames are decoded in place between a read offset and the end of
+   the buffered bytes, so a 64 KB read holding a thousand frames costs
+   one pass over its bytes plus one payload copy per frame.  The unread
+   tail moves to the front only when a frame is cut short (it is then
+   less than one frame) or when [feed] needs the room. *)
 
 module Rx = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
+  let create () = { buf = Bytes.create 4096; off = 0; len = 0 }
 
-  let pending t = t.len
+  let pending t = t.len - t.off
+
+  let compact t =
+    if t.off > 0 then begin
+      Bytes.blit t.buf t.off t.buf 0 (t.len - t.off);
+      t.len <- t.len - t.off;
+      t.off <- 0
+    end
 
   let feed t src n =
     if n < 0 || n > Bytes.length src then invalid_arg "Worker.Rx.feed";
     if t.len + n > Bytes.length t.buf then begin
-      let cap = ref (2 * Bytes.length t.buf) in
-      while t.len + n > !cap do
-        cap := 2 * !cap
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
+      compact t;
+      if t.len + n > Bytes.length t.buf then begin
+        let cap = ref (2 * Bytes.length t.buf) in
+        while t.len + n > !cap do
+          cap := 2 * !cap
+        done;
+        let bigger = Bytes.create !cap in
+        Bytes.blit t.buf 0 bigger 0 t.len;
+        t.buf <- bigger
+      end
     end;
     Bytes.blit src 0 t.buf t.len n;
     t.len <- t.len + n
 
-  let next t =
-    if t.len = 0 then Ok None
+  let rec next t =
+    if t.off = t.len then Ok None
     else
-      match Frame.decode (Bytes.sub_string t.buf 0 t.len) ~pos:0 with
-      | Error (Frame.Truncated _) -> Ok None
+      match Frame.decode_bytes t.buf ~pos:t.off ~stop:t.len with
+      | Error (Frame.Truncated _) ->
+        compact t;
+        Ok None
+      | Error _ when t.off > 0 ->
+        (* Fatal, so cost is moot: decode again from the front so the
+           error's offset counts from the unread bytes. *)
+        compact t;
+        next t
       | Error e -> Error (Frame.error_to_string e)
-      | Ok (f, consumed) ->
-        Bytes.blit t.buf consumed t.buf 0 (t.len - consumed);
-        t.len <- t.len - consumed;
+      | Ok (f, stop) ->
+        if stop = t.len then begin
+          t.off <- 0;
+          t.len <- 0
+        end
+        else t.off <- stop;
         Ok (Some f)
 end
 

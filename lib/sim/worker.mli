@@ -64,7 +64,11 @@ val parse : Bitstring.Frame.t -> (msg, string) result
 (** Incremental frame reassembly over a byte stream.  Streams deliver
     bytes, not frames — a trickled TCP link delivers one byte per read
     — so [Rx] buffers fed bytes and peels complete frames off the
-    front. *)
+    front.  Frames are decoded in place from a read offset, and the
+    unread bytes move to the front only when a frame is cut short or
+    [feed] needs the room, so the amortised cost per frame is linear in
+    its own size: one pass for the CRC and one copy of the payload,
+    however many frames a single [feed] delivered. *)
 module Rx : sig
   type t
 

@@ -155,7 +155,7 @@ let roundtrip_entry ?(key = 12345) e =
   | Ok (t, next) ->
     check_int "no trailing bytes" (String.length s) next;
     check_int "key" key t.Frame.key;
-    (match Journal.decode_payload t.Frame.payload with
+    (match Journal.read_payload (Bitbuf.reader t.Frame.payload) with
     | Error msg -> Alcotest.failf "payload: %s" msg
     | Ok e' -> e')
 
@@ -260,11 +260,11 @@ let test_payload_length_mismatch () =
   | Ok (t, _) ->
     let bits = Bitbuf.to_bits t.Frame.payload in
     let truncated = Bitbuf.of_bits (List.filteri (fun i _ -> i < Journal.fixed_payload_bits + 8) bits) in
-    (match Journal.decode_payload truncated with
+    (match Journal.read_payload (Bitbuf.reader truncated) with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "short verdict accepted");
     let short = Bitbuf.of_bits (List.filteri (fun i _ -> i < 10) bits) in
-    (match Journal.decode_payload short with
+    (match Journal.read_payload (Bitbuf.reader short) with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "10-bit payload accepted")
 
@@ -363,9 +363,47 @@ let test_golden_frame () =
   | Ok (t, next) ->
     check_int "golden frame consumed fully" (String.length golden) next;
     check_int "golden key" key t.Frame.key;
-    (match Journal.decode_payload t.Frame.payload with
+    (match Journal.read_payload (Bitbuf.reader t.Frame.payload) with
     | Error msg -> Alcotest.failf "golden payload: %s" msg
     | Ok e' -> check_bool "golden entry" true (e' = entry))
+
+(* {1 The CRC-32 table against the bit-serial definition} *)
+
+let crc_reference buf ~pos ~len =
+  let poly = 0x04C11DB7 and width = 32 in
+  let reg = ref 0 in
+  for i = pos to pos + len - 1 do
+    let byte = Char.code (Bytes.get buf i) in
+    for bit = 7 downto 0 do
+      reg := Bitstring.Ecc.crc_update ~poly ~width !reg ((byte lsr bit) land 1 = 1)
+    done
+  done;
+  Bitstring.Ecc.crc_finish ~poly ~width !reg
+
+let test_crc_table_matches_bit_serial () =
+  let rng = Random.State.make [| 0xc2c |] in
+  let buf = Bytes.init 320 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun pos ->
+      for len = 0 to 300 do
+        check_int
+          (Printf.sprintf "crc of %d bytes at %d" len pos)
+          (crc_reference buf ~pos ~len) (Frame.crc32_bytes buf ~pos ~len)
+      done)
+    [ 0; 1; 3; 8; 19 ];
+  (* Every single-byte message hits one table entry. *)
+  for b = 0 to 255 do
+    let one = Bytes.make 1 (Char.chr b) in
+    check_int (Printf.sprintf "byte 0x%02x" b) (crc_reference one ~pos:0 ~len:1)
+      (Frame.crc32_bytes one ~pos:0 ~len:1)
+  done;
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d" pos len)
+        (Invalid_argument "Frame.crc32_bytes: range out of bounds")
+        (fun () -> ignore (Frame.crc32_bytes buf ~pos ~len)))
+    [ (-1, 4); (0, -1); (300, 21); (321, 0) ]
 
 (* {1 The store: create, replay, torn tails, duplicates} *)
 
@@ -889,6 +927,30 @@ let test_reorder_rejects_bad_delivery () =
   check_bool "an index out of range" true (attempt (fun _ ~deliver -> deliver 100 (ok 100)));
   check_bool "returning early" true (attempt (fun _ ~deliver -> deliver 3 (ok 3)))
 
+(* {1 A journal written by an earlier build}
+
+   data/chaos-240.journal is the 240-point grid
+   "protocols=wakeup,broadcast;ns=16,24;scheds=sync,async-fifo;reps=30;seed=7"
+   swept in-process with [--journal] by the bit-serial codec that
+   preceded the byte-wise one.  Re-encoding every record must give the
+   file back byte for byte. *)
+
+let test_golden_journal_reencodes () =
+  let golden = read_file "data/chaos-240.journal" in
+  with_tmp (fun path ->
+      write_file path golden;
+      match Journal.open_ ~path () with
+      | Error e -> Alcotest.failf "golden journal: %s" e
+      | Ok (j, stats) ->
+        Journal.close j;
+        check_int "records replayed" 240 stats.Journal.replayed;
+        check_int "no torn tail" 0 stats.Journal.torn_bytes;
+        check_int "no duplicates" 0 stats.Journal.duplicates;
+        let out = Buffer.create (String.length golden) in
+        Buffer.add_string out (Journal.encode_superblock (Journal.context j));
+        Journal.iter j (fun key e -> Buffer.add_string out (Journal.encode_entry ~key e));
+        check_bool "re-encoded journal is byte-identical" true (Buffer.contents out = golden))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrips: kinds x keys x payload widths" `Quick
@@ -902,6 +964,10 @@ let suite =
     Alcotest.test_case "payload length mismatches are rejected" `Quick
       test_payload_length_mismatch;
     Alcotest.test_case "golden frame: spec table bytes == codec bytes" `Quick test_golden_frame;
+    Alcotest.test_case "CRC-32 table = bit-serial engine, lengths 0..300" `Quick
+      test_crc_table_matches_bit_serial;
+    Alcotest.test_case "golden journal re-encodes byte for byte" `Quick
+      test_golden_journal_reencodes;
     Alcotest.test_case "store: create, replay, find, iter, dup append" `Quick test_store_basic;
     Alcotest.test_case "store: context mismatch refused" `Quick test_store_context_mismatch;
     Alcotest.test_case "store: missing file without expect is an error" `Quick

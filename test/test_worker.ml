@@ -225,6 +225,99 @@ let test_rx_garbage_is_fatal () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage after a valid frame must be a fatal stream error"
 
+(* {1 In-place reassembly against frame-at-a-time decoding} *)
+
+(* 1 200 frames of every wire kind and a spread of lengths. *)
+let mixed_frames () =
+  List.init 1200 (fun i ->
+      Worker.encode
+        (match i mod 6 with
+        | 0 -> Worker.Heartbeat { worker = i mod 3; count = i }
+        | 1 -> Worker.Result { index = i; result = Ok { sample_entry with Journal.informed = i } }
+        | 2 -> Worker.Result { index = i; result = Error (String.make (i mod 37) 'e') }
+        | 3 -> Worker.Task_batch { seq = i; indices = Array.init (i mod 70) (fun k -> k * i) }
+        | 4 -> Worker.Hello { worker = i; wire_version = Worker.wire_version; auth = String.make (i mod 5) 't' }
+        | _ -> Worker.Config { Journal.spec = string_of_int i; extra = "retry=2" }))
+
+(* The reference: Frame.decode one frame at a time, re-encoded. *)
+let one_at_a_time stream =
+  let rec go pos acc =
+    if pos = String.length stream then List.rev acc
+    else
+      match Frame.decode stream ~pos with
+      | Ok (f, next) -> go next (Frame.encode f :: acc)
+      | Error e -> Alcotest.failf "reference decode: %s" (Frame.error_to_string e)
+  in
+  go 0 []
+
+let drain_rx rx acc =
+  let rec go acc =
+    match Worker.Rx.next rx with
+    | Ok (Some f) -> go (Frame.encode f :: acc)
+    | Ok None -> acc
+    | Error e -> Alcotest.failf "Rx: %s" e
+  in
+  go acc
+
+let test_rx_many_frames_one_feed () =
+  let frames = mixed_frames () in
+  let stream = String.concat "" frames in
+  let expected = one_at_a_time stream in
+  check_bool "reference recovers the frames" true (expected = frames);
+  let rx = Worker.Rx.create () in
+  Worker.Rx.feed rx (Bytes.of_string stream) (String.length stream);
+  check_int "everything pending" (String.length stream) (Worker.Rx.pending rx);
+  let got = List.rev (drain_rx rx []) in
+  check_int "frame count" (List.length expected) (List.length got);
+  check_bool "same frames, same order" true (got = expected);
+  check_int "nothing left" 0 (Worker.Rx.pending rx)
+
+let test_rx_random_splits () =
+  let stream = String.concat "" (mixed_frames ()) in
+  let expected = one_at_a_time stream in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rx = Worker.Rx.create () in
+      let got = ref [] in
+      let pos = ref 0 in
+      while !pos < String.length stream do
+        let cut =
+          if Random.State.int rng 10 = 0 then Random.State.int rng 9000 else Random.State.int rng 90
+        in
+        let n = min (1 + cut) (String.length stream - !pos) in
+        Worker.Rx.feed rx (Bytes.of_string (String.sub stream !pos n)) n;
+        pos := !pos + n;
+        (* Interleave: take at most a few frames before the next feed. *)
+        for _ = 1 to Random.State.int rng 4 do
+          match Worker.Rx.next rx with
+          | Ok (Some f) -> got := Frame.encode f :: !got
+          | Ok None -> ()
+          | Error e -> Alcotest.failf "seed %d: Rx: %s" seed e
+        done
+      done;
+      got := drain_rx rx !got;
+      check_bool (Printf.sprintf "seed %d: same frames, same order" seed) true
+        (List.rev !got = expected);
+      check_int "nothing left" 0 (Worker.Rx.pending rx))
+    [ 1; 2; 3; 4; 5 ]
+
+let test_rx_error_offset_counts_from_unread () =
+  let good = Worker.encode (Worker.Heartbeat { worker = 1; count = 0 }) in
+  let junk = Chaos.garbage_bytes { Chaos.directives = []; seed = 9 } ~worker:1 in
+  let stream = good ^ good ^ junk in
+  let rx = Worker.Rx.create () in
+  Worker.Rx.feed rx (Bytes.of_string stream) (String.length stream);
+  for _ = 1 to 2 do
+    match Worker.Rx.next rx with
+    | Ok (Some _) -> ()
+    | _ -> Alcotest.fail "valid frame before the garbage was lost"
+  done;
+  match Worker.Rx.next rx with
+  | Error e ->
+    check_bool "offset 0 of the unread bytes" true (String.ends_with ~suffix:"at byte 0" e)
+  | Ok _ -> Alcotest.fail "garbage must be a fatal stream error"
+
 (* {1 Chaos specs} *)
 
 let test_chaos_spec_roundtrip () =
@@ -466,4 +559,9 @@ let suite =
       test_chaos_determinism_grid;
     Alcotest.test_case "worker kills compose with crash-after and resume" `Slow
       test_chaos_composes_with_journal_resume;
+    Alcotest.test_case "Rx: 1200 frames in one feed = one at a time" `Quick
+      test_rx_many_frames_one_feed;
+    Alcotest.test_case "Rx: random splits, feed and next interleaved" `Quick test_rx_random_splits;
+    Alcotest.test_case "Rx: error offsets count from the unread bytes" `Quick
+      test_rx_error_offset_counts_from_unread;
   ]
