@@ -821,11 +821,8 @@ let e19b () =
   let rows =
     List.map
       (fun p ->
-        let loss seed = if p = 0.0 then None else Some (p, seed) in
         let run_loss seed scheme advice =
-          match loss seed with
-          | None -> Sim.Runner.run ~advice g ~source:0 scheme
-          | Some l -> Sim.Runner.run ~loss:l ~advice g ~source:0 scheme
+          Sim.Runner.run ~faults:{ Fault.Plan.none with drop = p; seed } ~advice g ~source:0 scheme
         in
         let no_advice _ = Bitstring.Bitbuf.create () in
         let flood = mean_over_seeds (fun s -> informed_fraction (run_loss s Sim.Scheme.flooding no_advice)) in
@@ -904,18 +901,6 @@ let smoke () =
 
 let stress_out = ref "stress.jsonl"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One adversarial run of the stress grid: returns the serialized JSONL
    row plus the aggregates the summary table needs.  Runs on a pool
    worker, so it touches no shared mutable state: the graph is immutable,
@@ -977,13 +962,13 @@ let stress_row t (e : Sim.Journal.entry) =
   Printf.sprintf
     {|{"protocol":"%s","graph":"%s","n":%d,"m":%d,"scheduler":"%s","plan":"%s","sent":%d,"faults":%d,"fallbacks":%d,"tampered":%d,"retransmits":%d,"corrected_bits":%d,"informed":%d,"class":"%s","verdict":"%s"}|}
     (Fault.Harness.protocol_name t.st_proto)
-    (json_escape t.st_gname) e.Sim.Journal.n e.Sim.Journal.m
-    (json_escape (Sim.Scheduler.name t.st_sched))
-    (json_escape t.st_plan_name) e.Sim.Journal.messages e.Sim.Journal.faults
+    (Obs.Jsonl.escape t.st_gname) e.Sim.Journal.n e.Sim.Journal.m
+    (Obs.Jsonl.escape (Sim.Scheduler.name t.st_sched))
+    (Obs.Jsonl.escape t.st_plan_name) e.Sim.Journal.messages e.Sim.Journal.faults
     e.Sim.Journal.fallbacks e.Sim.Journal.tampered e.Sim.Journal.retransmits
     e.Sim.Journal.corrected_bits e.Sim.Journal.informed
     (Sim.Journal.class_name e.Sim.Journal.verdict_class)
-    (json_escape e.Sim.Journal.verdict)
+    (Obs.Jsonl.escape e.Sim.Journal.verdict)
 
 let stress () =
   let graphs =
@@ -1158,8 +1143,8 @@ let resilience_row t (e : Sim.Journal.entry) =
   Printf.sprintf
     {|{"protocol":"%s","graph":"%s","n":%d,"m":%d,"plan":"%s","protect":"%s","retry":%d,"raw_bits":%d,"protected_bits":%d,"overhead":%.3f,"sent":%d,"retransmits":%d,"corrected_bits":%d,"fallbacks":%d,"class":"%s"}|}
     (Fault.Harness.protocol_name t.rt_proto)
-    (json_escape t.rt_gname) e.Sim.Journal.n e.Sim.Journal.m
-    (json_escape t.rt_plan_name)
+    (Obs.Jsonl.escape t.rt_gname) e.Sim.Journal.n e.Sim.Journal.m
+    (Obs.Jsonl.escape t.rt_plan_name)
     (Bitstring.Ecc.name t.rt_protect) t.rt_retry e.Sim.Journal.raw_advice_bits
     e.Sim.Journal.advice_bits (resilience_overhead e) e.Sim.Journal.messages
     e.Sim.Journal.retransmits e.Sim.Journal.corrected_bits e.Sim.Journal.fallbacks

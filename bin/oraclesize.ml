@@ -227,36 +227,37 @@ let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
   Printf.printf "verdict:      %s\n" (Fault.Verdict.to_string o.Fault.Harness.verdict);
   if not (Fault.Verdict.acceptable o.Fault.Harness.verdict) then exit 1
 
-(* [--fault --suite]: the same plan under every scheduler in the default
-   adversary suite, fanned out over a domain pool.  Advice is a pure
-   function of (protocol, graph, source), so it is computed once here and
-   shared read-only by every worker; each run protects and corrupts its
-   own copy.  Per-run trace sinks are single-writer, so suite mode runs
-   without them and prints one verdict row per scheduler instead. *)
+(* [--fault --suite]: the same plan under every scheduler in
+   [Sim.Scheduler.default_suite], fanned out over a domain pool.  Advice
+   is a pure function of (protocol, graph, source), so it is computed
+   once here and shared read-only by every worker; each run protects and
+   corrupts its own copy.  Per-run trace sinks are single-writer, so
+   suite mode runs without them and prints one verdict row per scheduler
+   instead. *)
 let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
   if retry < 0 then begin
     Printf.eprintf "oraclesize: --retry must be non-negative\n";
     exit 2
   end;
-  let advs = List.map (fun s -> Sim.Adversary.make ~plan s) Sim.Scheduler.default_suite in
+  let scheds = Array.of_list Sim.Scheduler.default_suite in
   let raw_advice = Fault.Harness.advise protocol g ~source in
   let results =
-    Sim.Adversary.map_suite ~jobs
-      ~f:(fun adv ->
-        Fault.Harness.run ~scheduler:adv.Sim.Adversary.scheduler ~plan ~protect ~retry
-          ~raw_advice protocol g ~source)
-      advs
+    Sim.Sweep.map ~jobs
+      ~local:(fun () -> ())
+      ~f:(fun () _ scheduler ->
+        Fault.Harness.run ~scheduler ~plan ~protect ~retry ~raw_advice protocol g ~source)
+      scheds
   in
   Printf.printf "network:    %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
     (Graph.m g);
   Printf.printf "fault plan: %s  (%d schedulers, jobs=%d)\n" (Fault.Plan.to_string plan)
-    (List.length advs) jobs;
+    (Array.length scheds) jobs;
   Printf.printf "%-18s %9s %7s %11s  %s\n" "scheduler" "messages" "faults" "retransmits"
     "verdict";
   let ok = ref true in
-  List.iteri
-    (fun i adv ->
-      let sched_name = Sim.Scheduler.name adv.Sim.Adversary.scheduler in
+  Array.iteri
+    (fun i scheduler ->
+      let sched_name = Sim.Scheduler.name scheduler in
       match results.(i) with
       | Error msg ->
         ok := false;
@@ -268,7 +269,7 @@ let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
         Printf.printf "%-18s %9d %7d %11d  %s\n" sched_name stats.Sim.Runner.sent
           stats.Sim.Runner.faults recov.Obs.Counting.retransmits
           (Fault.Verdict.to_string o.Fault.Harness.verdict))
-    advs;
+    scheds;
   if not !ok then exit 1
 
 let trace_out_arg =
@@ -749,19 +750,6 @@ let perf_cmd =
 
 (* {1 sweep} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let protocol_of_name = function
   | "wakeup" -> Some Fault.Harness.Wakeup
   | "broadcast" -> Some Fault.Harness.Broadcast
@@ -796,17 +784,17 @@ let execute_point grid ~protect ~retry (graphs, advice_cache) p =
 let row_of_entry p (e : Sim.Journal.entry) =
   Printf.sprintf
     {|{"protocol":"%s","family":"%s","n":%d,"m":%d,"scheduler":"%s","plan":"%s","rep":%d,"seed":%d,"sent":%d,"rounds":%d,"advice_bits":%d,"raw_bits":%d,"faults":%d,"fallbacks":%d,"tampered":%d,"retransmits":%d,"corrected_bits":%d,"informed":%d,"class":"%s","verdict":"%s"}|}
-    (json_escape p.Sim.Sweep.protocol)
-    (json_escape (Families.name p.Sim.Sweep.family))
+    (Obs.Jsonl.escape p.Sim.Sweep.protocol)
+    (Obs.Jsonl.escape (Families.name p.Sim.Sweep.family))
     e.Sim.Journal.n e.Sim.Journal.m
-    (json_escape (Sim.Scheduler.name p.Sim.Sweep.scheduler))
-    (json_escape (Fault.Plan.to_string p.Sim.Sweep.plan))
+    (Obs.Jsonl.escape (Sim.Scheduler.name p.Sim.Sweep.scheduler))
+    (Obs.Jsonl.escape (Fault.Plan.to_string p.Sim.Sweep.plan))
     p.Sim.Sweep.rep p.Sim.Sweep.seed e.Sim.Journal.messages e.Sim.Journal.rounds
     e.Sim.Journal.advice_bits e.Sim.Journal.raw_advice_bits e.Sim.Journal.faults
     e.Sim.Journal.fallbacks e.Sim.Journal.tampered e.Sim.Journal.retransmits
     e.Sim.Journal.corrected_bits e.Sim.Journal.informed
     (Sim.Journal.class_name e.Sim.Journal.verdict_class)
-    (json_escape e.Sim.Journal.verdict)
+    (Obs.Jsonl.escape e.Sim.Journal.verdict)
 
 (* The superblock's extra context: the two sweep knobs that change
    results but are not grid coordinates.  A journal written under one

@@ -44,16 +44,14 @@ val run :
   ?encoding:encoding ->
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   source:int ->
   outcome
 (** Build the oracle, run Scheme B, return the result together with the
     oracle size.  Telemetry events stream into [sinks] (see
-    {!Sim.Runner.run}); one protocol record named ["broadcast"] is noted
-    into [registry] when one is given.  The run goes through
-    {!Sim.Shard.run}, which takes the sharded kernel for a synchronous run
-    without sinks — output is bit-identical either way. *)
+    {!Sim.Runner.run}).  The run goes through {!Sim.Shard.run}, which
+    takes the sharded kernel for a synchronous run without sinks — output
+    is bit-identical either way. *)
 
 val decode_known_ports : encoding -> Bitstring.Bitbuf.t -> int list
 (** The advice decoder (exposed for tests): the ports Scheme B starts out

@@ -42,14 +42,12 @@ val run :
   ?encoding:encoding ->
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   source:int ->
   outcome
 (** Build the oracle, run the scheme, return the result together with the
     oracle size.  Telemetry events stream into [sinks] (see
-    {!Sim.Runner.run}); one protocol record named ["wakeup"] is noted into
-    [registry] when one is given.  The run goes through {!Sim.Shard.run},
+    {!Sim.Runner.run}).  The run goes through {!Sim.Shard.run},
     which takes the sharded kernel for a synchronous run without sinks —
     output is bit-identical either way. *)
 

@@ -6,7 +6,7 @@
     advice string being read at start-up.  The simulation runner
     ({!Sim.Runner.run}) emits these events into {!Sink.t} values; the
     counting sink ({!Counting}) folds them back into the exact legacy
-    statistics, and the exporters ({!Jsonl}, {!Csv}) serialise them.
+    statistics, and the exporter ({!Jsonl}) serialises them.
 
     The precise meaning of every derived counter is written down in
     [DESIGN.md], section "Telemetry: the metrics contract"; this module is

@@ -18,6 +18,12 @@
     no JSON library — and the decoder inverts the encoder exactly
     (round-trip is tested). *)
 
+val escape : string -> string
+(** The body of a JSON string literal holding [s], without the quotes:
+    the quote and the backslash are backslash-escaped, newline, carriage
+    return and tab take their short forms, and every other control
+    character becomes a [\u00XX] escape. *)
+
 val encode : Event.t -> string
 (** One JSON object, no trailing newline. *)
 

@@ -36,13 +36,6 @@ let close t =
 
 let null = { closed = false; owner = None; on_event = (fun _ -> ()); on_close = (fun () -> ()) }
 
-let tee sinks =
-  make
-    ~close:(fun () -> List.iter close sinks)
-    (fun ev -> List.iter (fun s -> emit s ev) sinks)
-
-let filter p s = make ~close:(fun () -> close s) (fun ev -> if p ev then emit s ev)
-
 let collect () =
   let events = ref [] in
   (make (fun ev -> events := ev :: !events), fun () -> List.rev !events)

@@ -1,8 +1,8 @@
 (** Pluggable telemetry consumers.
 
     A sink is where {!Event.t} values go: a counter ({!Counting}), a
-    bounded in-memory trace ({!Ring}), a JSONL or CSV file ({!Jsonl},
-    {!Csv}), or any user function.  Emitters (the simulation runner,
+    bounded in-memory trace ({!Ring}), a JSONL file ({!Jsonl}), or any
+    user function.  Emitters (the simulation runner,
     protocol wrappers) call {!emit} per event; the party that created a
     sink is responsible for calling {!close} on it once no more events
     will arrive — emitters never close sinks they were handed.
@@ -34,14 +34,6 @@ val close : t -> unit
 
 val null : t
 (** Discards everything. *)
-
-val tee : t list -> t
-(** A sink duplicating every event to each sink in the list, in order.
-    Closing the tee closes the underlying sinks. *)
-
-val filter : (Event.t -> bool) -> t -> t
-(** [filter p s] forwards to [s] only the events satisfying [p].  Closing
-    the filter closes [s]. *)
 
 val collect : unit -> t * (unit -> Event.t list)
 (** An unbounded in-memory sink and a function returning everything

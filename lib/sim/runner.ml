@@ -1,16 +1,5 @@
 module Graph = Netgraph.Graph
 
-type delivery = {
-  src : int;
-  src_port : int;
-  dst : int;
-  dst_port : int;
-  msg : Message.t;
-  informed_sender : bool;
-  round : int;
-  seq : int;
-}
-
 type stats = {
   sent : int;
   source_sent : int;
@@ -27,7 +16,6 @@ type result = {
   informed : bool array;
   all_informed : bool;
   quiescent : bool;
-  deliveries : delivery list;
   per_node_sent : int array;
 }
 
@@ -51,22 +39,6 @@ let msg_class = function
   | Message.Hello -> Obs.Event.Hello
   | Message.Control _ -> Obs.Event.Control
 
-let telemetry ~protocol ~scheduler ?completed ~advice_bits r =
-  {
-    Obs.Registry.protocol;
-    scheduler = Scheduler.name scheduler;
-    n = Array.length r.informed;
-    messages = r.stats.sent;
-    source_msgs = r.stats.source_sent;
-    hello_msgs = r.stats.hello_sent;
-    control_msgs = r.stats.control_sent;
-    bits_on_wire = r.stats.bits_on_wire;
-    rounds = r.stats.rounds;
-    causal_depth = r.stats.causal_depth;
-    advice_bits;
-    completed = (match completed with Some c -> c | None -> r.all_informed);
-  }
-
 (* The broadcast degraded budget [4m + 3n] (the larger of the two in
    [Fault.Harness.budgets]) once per allowed attempt, so the cap sits at
    or above [degraded + recovery] and never fires before the verdict
@@ -75,8 +47,8 @@ let telemetry ~protocol ~scheduler ?completed ~advice_bits r =
 let default_max_messages ~retry g =
   max 1_000_000 ((retry + 1) * ((4 * Graph.m g) + (3 * Graph.n g)))
 
-let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
-    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
+    ?(retry = 0) ~advice g ~source factory =
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Runner.run: source out of range";
   if retry < 0 then invalid_arg "Runner.run: negative retry budget";
@@ -127,7 +99,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
   if sinks_empty then Obs.Counting.note_wake counts ~round:0
   else observe { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Wake source };
   let per_node_sent = Array.make n 0 in
-  let trace = ref [] in
   let rand =
     match scheduler with
     | Scheduler.Async_random seed -> Some (Random.State.make [| seed |])
@@ -207,19 +178,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
     ring_push ~src:fl.f_src ~src_port:fl.f_src_port ~dst:fl.f_dst ~dst_port:fl.f_dst_port
       ~msg:fl.f_msg ~inf:fl.f_informed ~sq:fl.f_seq ~depth:fl.f_depth
   in
-  let loss_state =
-    match loss with
-    | None -> None
-    | Some (p, _) when p <= 0.0 -> None
-    | Some (p, lseed) ->
-      if p >= 1.0 then invalid_arg "Runner.run: loss probability must be < 1";
-      Some (p, Random.State.make [| lseed; 0x1055 |])
-  in
-  let lost () =
-    match loss_state with
-    | None -> false
-    | Some (p, st) -> Random.State.float st 1.0 < p
-  in
   (* Adversarial execution.  Every fault channel draws from its own
      seeded stream, so enabling one channel never perturbs another and
      identical plan + seed + scheduler replays bit-identically. *)
@@ -265,7 +223,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
   let delayed_w : in_flight Timer_wheel.t = Timer_wheel.create () in
   let tick_delayed round = Timer_wheel.drain delayed_w ~now:round push_fl in
   (* The ack/retransmit channel.  Each destroyed copy of a message (plan
-     drop, [?loss], or a failed receiver) arms the sender's per-message
+     drop or a failed receiver) arms the sender's per-message
      timer; when it fires the channel re-enqueues a fresh copy, at most
      [retry] times per sequence number, with exponential backoff
      (1, 2, 4, … scheduler steps).  A receiver that crash-stopped is
@@ -413,16 +371,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
         end
       end
   in
-  (* One copy onto the wire: the legacy [?loss] knob first (now a typed
-     [Fault Msg_dropped], visible to verdicts and to the retransmit
-     channel), then the plan's channels. *)
-  let transmit round fl =
-    if lost () then begin
-      observe_fault ~sq:fl.f_seq round Obs.Event.Msg_dropped;
-      schedule_retransmit round fl
-    end
-    else inject round fl
-  in
   let tick_recovery round =
     Timer_wheel.drain recovery_w ~now:round (fun (attempt, fl) ->
         (* Crash-stop: a failed node retransmits nothing, and a failed
@@ -437,14 +385,14 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
                  round;
                  kind = Obs.Event.Recover (Obs.Event.Msg_retransmitted attempt);
                });
-          if Message.is_timeout fl.f_msg then push_fl fl else transmit round fl
+          if Message.is_timeout fl.f_msg then push_fl fl else inject round fl
         end)
   in
-  (* With neither a fault plan nor a loss knob, nothing between a send
-     and its delivery can touch a message: sends go straight onto the
-     ring, no [in_flight] record exists, and a steady-state round
-     allocates nothing beyond what the scheme itself returns. *)
-  let fast_wire = plan = None && loss_state = None in
+  (* Without a fault plan, nothing between a send and its delivery can
+     touch a message: sends go straight onto the ring, no [in_flight]
+     record exists, and a steady-state round allocates nothing beyond
+     what the scheme itself returns. *)
+  let fast_wire = plan = None in
   (* A plain recursive walk, not [List.iter f]: building the closure for
      [f] on every call put seven words on the minor heap per delivery
      (and per [on_start]), for nothing. *)
@@ -483,7 +431,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
            });
       (if fast_wire then ring_push ~src:v ~src_port:port ~dst ~dst_port ~msg ~inf ~sq:!seq ~depth
        else
-         transmit round
+         inject round
            {
              f_src = v;
              f_src_port = port;
@@ -551,9 +499,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
         if sinks_empty then Obs.Counting.note_wake counts ~round
         else observe { Obs.Event.seq = sq; round; kind = Obs.Event.Wake dst }
       end;
-      if record_trace then
-        trace :=
-          { src; src_port; dst; dst_port; msg; informed_sender = inf; round; seq = sq } :: !trace;
       nodes.(dst).Scheme.on_receive msg ~port:dst_port
     end
   in
@@ -696,7 +641,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
     informed;
     all_informed = Array.for_all (fun b -> b) informed;
     quiescent = not !cutoff;
-    deliveries = List.rev !trace;
     per_node_sent;
   }
 

@@ -326,26 +326,22 @@ let kernel ~shards ~max_messages ~advice g ~source factory =
         informed;
         all_informed = Array.for_all Fun.id informed;
         quiescent = not !cutoff;
-        deliveries = [];
         per_node_sent;
       })
 
 (* {1 The selection rule} *)
 
-let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
-    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
+    ?(retry = 0) ~advice g ~source factory =
   let k = Domain.recommended_domain_count () in
   (* A negative [retry] is left to [Runner.run] to reject. *)
-  let lossless = match loss with None -> true | Some (p, _) -> p <= 0.0 in
   if
     scheduler = Scheduler.Synchronous
-    && sinks = [] && (not record_trace) && Fault_plan.is_none faults && lossless && retry >= 0
-    && Domain.is_main_domain () && k > 1
+    && sinks = [] && Fault_plan.is_none faults && retry >= 0 && Domain.is_main_domain () && k > 1
   then
     let max_messages =
       Option.value max_messages ~default:(Runner.default_max_messages ~retry g)
     in
     kernel ~shards:k ~max_messages ~advice g ~source factory
   else
-    Runner.run ~scheduler ?max_messages ~record_trace ~sinks ?loss ~faults ~retry ~advice g ~source
-      factory
+    Runner.run ~scheduler ?max_messages ~sinks ~faults ~retry ~advice g ~source factory

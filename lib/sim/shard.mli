@@ -8,8 +8,8 @@
     - the scheduler is {!Scheduler.Synchronous} (the asynchronous
       schedulers deliver one message at a time in a single global order,
       with no round boundary to cut);
-    - there are no [sinks], no [record_trace], no fault plan and no
-      [loss] — anything that observes or perturbs a global order;
+    - there are no [sinks] and no fault plan — anything that observes or
+      perturbs a global order;
     - the call runs on the main domain ([Domain.is_main_domain ()]), so a
       run inside a {!Pool} task never spawns domains of its own;
     - [k > 1].
@@ -20,9 +20,7 @@
 val run :
   ?scheduler:Scheduler.t ->
   ?max_messages:int ->
-  ?record_trace:bool ->
   ?sinks:Obs.Sink.t list ->
-  ?loss:float * int ->
   ?faults:Fault_plan.t ->
   ?retry:int ->
   advice:(int -> Bitstring.Bitbuf.t) ->
@@ -46,7 +44,7 @@ val kernel :
     [Runner.run ~scheduler:Synchronous ~max_messages ~advice g ~source
     factory] with the node array partitioned into [shards] contiguous
     blocks, one per domain, and each round run as two barrier-separated
-    phases (deliver, then emit).  [deliveries] is always [[]].  Phases
+    phases (deliver, then emit).  Phases
     with fewer than 256 slots run inline on the calling domain, so small
     runs never spawn domains; the [shards - 1] worker domains are spawned
     on the first larger phase and joined before [kernel] returns.

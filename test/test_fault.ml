@@ -1,6 +1,6 @@
 (* The fault-injection subsystem: plans, advice corruption, runner-level
-   injection, the adversarial scheduler wrapper, hardened schemes with
-   graceful degradation, and the verdict classifier. *)
+   injection, hardened schemes with graceful degradation, the verdict
+   classifier, and the CLI's one-plan-every-scheduler suite mode. *)
 
 module Graph = Netgraph.Graph
 module Families = Netgraph.Families
@@ -298,31 +298,6 @@ let test_runner_fault_determinism () =
   check_int "same stream length" (List.length a) (List.length b);
   List.iter2 (fun x y -> check_bool "bit-identical streams" true (Event.equal x y)) a b
 
-(* {1 The adversarial scheduler wrapper} *)
-
-let test_adversary_names_and_suite () =
-  let plain = Sim.Adversary.make Sim.Scheduler.Async_fifo in
-  check_string "plain adversary keeps the scheduler name" "async-fifo" (Sim.Adversary.name plain);
-  let adv =
-    Sim.Adversary.make ~plan:(Plan.of_string_exn "drop=0.1,seed=7") Sim.Scheduler.Synchronous
-  in
-  check_string "composed name" "sync+drop=0.1,seed=7" (Sim.Adversary.name adv);
-  let plans = [ Plan.none; Plan.of_string_exn "dead=1" ] in
-  let suite = Sim.Adversary.suite plans in
-  check_int "cross product, plans major" (2 * List.length Sim.Scheduler.default_suite)
-    (List.length suite);
-  let names = List.map Sim.Adversary.name suite in
-  check_int "all distinct" (List.length names) (List.length (List.sort_uniq compare names))
-
-let test_adversary_run_injects () =
-  let g = Gen.complete 10 in
-  let adv = Sim.Adversary.make ~plan:(Plan.of_string_exn "drop=0.3,seed=5") Sim.Scheduler.Async_lifo in
-  let r = Sim.Adversary.run ~advice:no_advice adv g ~source:0 Sim.Scheme.flooding in
-  check_bool "faults recorded" true (r.Sim.Runner.stats.Sim.Runner.faults > 0);
-  let plain = Sim.Adversary.make Sim.Scheduler.Async_lifo in
-  let r2 = Sim.Adversary.run ~advice:no_advice plain g ~source:0 Sim.Scheme.flooding in
-  check_int "empty plan injects nothing" 0 r2.Sim.Runner.stats.Sim.Runner.faults
-
 (* {1 Hardened schemes and the harness} *)
 
 let tree24 () = Families.build Families.Random_tree ~n:24 ~seed:7
@@ -614,13 +589,13 @@ let test_verdict_recovery_budget () =
   | v -> Alcotest.failf "corrections must stay completed, got %s" (Fault.Verdict.to_string v)
 
 let test_loss_emits_typed_drops () =
-  (* the runner's loss knob must flow through the typed fault channel:
-     every loss is a [Fault Msg_dropped] event in the stream *)
+  (* message loss flows through the typed fault channel: every lost
+     copy is a [Fault Msg_dropped] event in the stream *)
   let g = Gen.complete 12 in
   let collect, collected = Obs.Sink.collect () in
   let r =
-    Sim.Runner.run ~sinks:[ collect ] ~loss:(0.3, 5) ~advice:no_advice g ~source:0
-      Sim.Scheme.flooding
+    Sim.Runner.run ~sinks:[ collect ] ~faults:(Plan.of_string_exn "drop=0.3,seed=5")
+      ~advice:no_advice g ~source:0 Sim.Scheme.flooding
   in
   let s = Obs.Counting.of_events (collected ()) in
   check_bool "losses recorded as typed drops" true (s.Obs.Counting.dropped > 0);
@@ -634,8 +609,8 @@ let test_retry_reenqueues_lost_copies () =
   let g = Gen.path 6 in
   let collect, collected = Obs.Sink.collect () in
   let r =
-    Sim.Runner.run ~sinks:[ collect ] ~loss:(0.4, 9) ~retry:8 ~advice:no_advice g ~source:0
-      Sim.Scheme.flooding
+    Sim.Runner.run ~sinks:[ collect ] ~faults:(Plan.of_string_exn "drop=0.4,seed=9") ~retry:8
+      ~advice:no_advice g ~source:0 Sim.Scheme.flooding
   in
   let s = Obs.Counting.of_events (collected ()) in
   check_bool "retransmissions happened" true (s.Obs.Counting.retransmits > 0);
@@ -773,6 +748,56 @@ let test_recovery_budget_end_to_end () =
     (fun x y -> check_bool "identical" true (Event.equal x y))
     o0.Fault.Harness.events o0'.Fault.Harness.events
 
+(* {1 The CLI's suite mode} *)
+
+(* Relative to the test cwd (_build/default/test). *)
+let exe = "../bin/oraclesize.exe"
+
+let cli_stdout args =
+  let ic = Unix.open_process_in (Printf.sprintf "%s %s 2>/dev/null" exe args) in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> ());
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, List.rev !lines)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "oraclesize was killed"
+
+let test_cli_suite () =
+  (* [--suite] runs the plan under every scheduler of the default suite
+     on a domain pool.  Rows come back in suite order whatever the pool
+     size: the only byte that may differ between -j 1 and -j 2 is the
+     header's echo of the job count. *)
+  let args = "broadcast -n 24 --fault drop=0.1,seed=7 --retry 2 --suite" in
+  let code1, out1 = cli_stdout (args ^ " -j 1") in
+  let code2, out2 = cli_stdout (args ^ " -j 2") in
+  check_int "-j 1 exit" 0 code1;
+  check_int "-j 2 exit" 0 code2;
+  let n_scheds = List.length Sim.Scheduler.default_suite in
+  let unjobbed j = function
+    | network :: plan :: rest ->
+      check_string
+        (Printf.sprintf "-j %d plan line" j)
+        (Printf.sprintf "fault plan: drop=0.1,seed=7  (%d schedulers, jobs=%d)" n_scheds j)
+        plan;
+      network :: rest
+    | _ -> Alcotest.failf "-j %d printed no header" j
+  in
+  let out = unjobbed 1 out1 in
+  Alcotest.(check (list string)) "stdout identical up to the jobs echo" out (unjobbed 2 out2);
+  let rows = match out with _network :: _header :: rows -> rows | _ -> [] in
+  Alcotest.(check (list string))
+    "one row per scheduler, in suite order"
+    (List.map Sim.Scheduler.name Sim.Scheduler.default_suite)
+    (List.map (fun row -> List.hd (String.split_on_char ' ' row)) rows);
+  List.iter
+    (fun row ->
+      check_bool ("graceful: " ^ row) true
+        (List.exists (fun w -> w = "completed" || w = "degraded:") (String.split_on_char ' ' row)))
+    rows
+
 let suite =
   [
     Alcotest.test_case "plan: none" `Quick test_plan_none;
@@ -795,8 +820,6 @@ let suite =
     Alcotest.test_case "runner: reorder and delay complete" `Quick
       test_runner_reorder_and_delay_complete;
     Alcotest.test_case "runner: injection is deterministic" `Quick test_runner_fault_determinism;
-    Alcotest.test_case "adversary: names and suite" `Quick test_adversary_names_and_suite;
-    Alcotest.test_case "adversary: run injects" `Quick test_adversary_run_injects;
     Alcotest.test_case "harness: budgets" `Quick test_harness_budgets;
     Alcotest.test_case "hardened wakeup = plain on clean advice" `Quick
       test_hardened_wakeup_clean_advice;
@@ -826,4 +849,5 @@ let suite =
     Alcotest.test_case "recovery: deterministic and replayable" `Quick
       test_recovery_determinism_and_replay;
     Alcotest.test_case "recovery: budgets end to end" `Quick test_recovery_budget_end_to_end;
+    Alcotest.test_case "CLI --suite: one row per scheduler, any -j" `Slow test_cli_suite;
   ]

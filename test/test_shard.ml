@@ -111,35 +111,28 @@ let test_forced_parallel_phases () =
     @ [ ("complete", fun () -> Families.build Families.Complete ~n:400 ~seed:7) ])
 
 (* What the kernel does not take goes to [Runner.run] unchanged: the
-   event stream, the in-memory trace and the fault accounting are the
-   sequential engine's, byte for byte. *)
+   event stream and the fault accounting are the sequential engine's,
+   byte for byte. *)
 let test_observed_runs_take_runner () =
   let g = Families.build Families.Sparse_random ~n:2048 ~seed:11 in
   let advice _ = Bitstring.Bitbuf.create () in
-  let run_both name ?record_trace ?faults ?retry () =
+  let run_both name ?faults ?retry () =
     let c1, got1 = Obs.Sink.collect () and c2, got2 = Obs.Sink.collect () in
     let a =
-      Sim.Runner.run ~scheduler:sync ?record_trace ~sinks:[ c1 ] ?faults ?retry ~advice g ~source:0
+      Sim.Runner.run ~scheduler:sync ~sinks:[ c1 ] ?faults ?retry ~advice g ~source:0
         Sim.Scheme.flooding
     in
     let b =
-      Sim.Shard.run ~scheduler:sync ?record_trace ~sinks:[ c2 ] ?faults ?retry ~advice g ~source:0
+      Sim.Shard.run ~scheduler:sync ~sinks:[ c2 ] ?faults ?retry ~advice g ~source:0
         Sim.Scheme.flooding
     in
     same name a b;
-    check_string (name ^ ": event bytes") (jsonl (got1 ())) (jsonl (got2 ()));
-    check_bool (name ^ ": deliveries") true (a.Sim.Runner.deliveries = b.Sim.Runner.deliveries)
+    check_string (name ^ ": event bytes") (jsonl (got1 ())) (jsonl (got2 ()))
   in
   run_both "sinks" ();
-  run_both "sinks+trace" ~record_trace:true ();
   run_both "drop+crash, retry 2" ~faults:(Sim.Fault_plan.of_string_exn "drop=0.1,crash=3@5,seed=7")
     ~retry:2 ();
-  (* A trace without sinks, and a plan without sinks, take Runner too. *)
-  let traced =
-    Sim.Shard.run ~scheduler:sync ~record_trace:true ~advice g ~source:0 Sim.Scheme.flooding
-  in
-  check_int "trace recorded" traced.Sim.Runner.stats.Sim.Runner.sent
-    (List.length traced.Sim.Runner.deliveries);
+  (* A plan without sinks takes Runner too. *)
   let faults = Sim.Fault_plan.of_string_exn "dup=0.05,reorder=3,seed=11" in
   same "faults, no sinks"
     (Sim.Runner.run ~scheduler:sync ~faults ~advice g ~source:0 Sim.Scheme.flooding)
